@@ -8,6 +8,7 @@ time-zone arithmetic anywhere.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -80,12 +81,15 @@ def _parse_cell(text: str, column: Column, row_number: int, tokens: frozenset[st
         return MISSING
     if column.kind is ColumnKind.NUMERIC:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
+            value = math.nan  # fails the finiteness check below
+        if not math.isfinite(value):
             raise ParseError(
                 f"row {row_number}, column {column.name}: "
-                f"cannot parse {text!r} as a number"
-            ) from None
+                f"cannot parse {text!r} as a finite number"
+            )
+        return value
     if column.kind is ColumnKind.TIMESTAMP:
         try:
             return parse_timestamp(text)

@@ -12,7 +12,6 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any
 
 from .errors import DataError, UsageError
 from .model import (
@@ -185,14 +184,15 @@ def broadcast_down(
     target = dataset.table(to_level)
     declaration = source.column(column)
     value_index = source.column_index(column)
-    by_key: dict[Any, Any] = {}
-    for row in source.rows:
-        by_key[row.key] = row.cells[value_index]
+    by_ids = {row.key.ids: row.cells[value_index] for row in source.rows}
 
+    depth = from_level + 1
     rows = []
     for row in target.rows:
-        ancestor = row.key.ancestor(from_level)
-        if ancestor not in by_key:
-            raise DataError(f"row {row.key} has no {from_level.name} ancestor {ancestor}")
-        rows.append(Row(row.key, (by_key[ancestor],)))
+        prefix = row.key.ids[:depth]
+        if prefix not in by_ids:
+            raise DataError(
+                f"row {row.key} has no {from_level.name} ancestor {row.key.ancestor(from_level)}"
+            )
+        rows.append(Row(row.key, (by_ids[prefix],)))
     return Table(to_level, (declaration,), tuple(rows))

@@ -96,9 +96,13 @@ class Column:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityKey:
-    """Key of one row: exactly the identifiers for its level and coarser ones."""
+    """Key of one row: exactly the identifiers for its level and coarser ones.
+
+    `ids` is the canonical identity and sort order; the ids of the ancestor
+    at `level` are the prefix ``ids[:level + 1]``.
+    """
 
     level: GranularityLevel
     batch_id: str
@@ -109,7 +113,7 @@ class EntityKey:
     def __post_init__(self) -> None:
         ids = (self.batch_id, self.wafer_id, self.site_id, self.ic_id)
         for depth, value in enumerate(ids):
-            required = depth <= self.level.value
+            required = depth <= self.level
             if required and not value:
                 raise UsageError(
                     f"{self.level.name} key needs {_KEY_FIELDS[depth]}"
@@ -122,11 +126,7 @@ class EntityKey:
     @property
     def ids(self) -> tuple[str, ...]:
         """Identifiers coarse to fine, exactly level depth + 1 of them."""
-        return tuple(
-            v
-            for v in (self.batch_id, self.wafer_id, self.site_id, self.ic_id)
-            if v is not None
-        )
+        return (self.batch_id, self.wafer_id, self.site_id, self.ic_id)[: self.level + 1]
 
     def ancestor(self, level: GranularityLevel) -> "EntityKey":
         """Key of this row's ancestor at a coarser (or equal) level."""
@@ -330,33 +330,29 @@ def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
     """Report every orphan child key and every duplicate key in the dataset."""
     duplicates: list[Violation] = []
     orphans: list[Violation] = []
-    keys_by_level: dict[GranularityLevel, set[EntityKey]] = {}
+    ids_by_level: dict[GranularityLevel, set[tuple[str, ...]]] = {}
 
     for level in dataset.levels:
         table = dataset.tables[level]
-        seen: set[EntityKey] = set()
+        seen: set[tuple[str, ...]] = set()
         for row in table.rows:
-            if row.key in seen:
+            ids = row.key.ids
+            if ids in seen:
                 duplicates.append(
                     Violation("duplicate", level, row.key, f"key {row.key} occurs more than once")
                 )
-            seen.add(row.key)
-        keys_by_level[level] = seen
+            seen.add(ids)
+        ids_by_level[level] = seen
 
     for level in dataset.levels:
-        coarser = [l for l in dataset.levels if l < level]
+        coarser = [(l, l + 1, ids_by_level[l]) for l in dataset.levels if l < level]
         for row in dataset.tables[level].rows:
-            for parent_level in coarser:
-                ancestor = row.key.ancestor(parent_level)
-                if ancestor not in keys_by_level[parent_level]:
-                    orphans.append(
-                        Violation(
-                            "orphan",
-                            level,
-                            row.key,
-                            f"row {row.key} has no {parent_level.name} ancestor {ancestor}",
-                        )
-                    )
+            ids = row.key.ids
+            for parent_level, depth, parents in coarser:
+                if ids[:depth] not in parents:
+                    ancestor = row.key.ancestor(parent_level)
+                    detail = f"row {row.key} has no {parent_level.name} ancestor {ancestor}"
+                    orphans.append(Violation("orphan", level, row.key, detail))
 
     return ValidationReport(tuple(orphans), tuple(duplicates))
 
@@ -369,19 +365,20 @@ class Group(NamedTuple):
 def group_by_ancestor(table: Table, ancestor_level: GranularityLevel) -> list[Group]:
     """Partition rows by their ancestor key at a strictly coarser level.
 
-    Groups come back sorted by ancestor key so downstream reductions are
-    deterministic regardless of input order.
+    Groups come back sorted by ancestor ids, rows in input order within a
+    group, so downstream reductions are deterministic whatever the input order.
     """
     if not ancestor_level.is_coarser_than(table.level):
         raise UsageError(
             f"{ancestor_level.name} is not coarser than {table.level.name}"
         )
-    buckets: dict[EntityKey, list[Row]] = {}
+    depth = ancestor_level + 1
+    buckets: dict[tuple[str, ...], list[Row]] = {}
     for row in table.rows:
-        buckets.setdefault(row.key.ancestor(ancestor_level), []).append(row)
+        buckets.setdefault(row.key.ids[:depth], []).append(row)
     return [
-        Group(key, tuple(buckets[key]))
-        for key in sorted(buckets, key=lambda k: k.sort_key())
+        Group(EntityKey(ancestor_level, *prefix), tuple(buckets[prefix]))
+        for prefix in sorted(buckets)
     ]
 
 

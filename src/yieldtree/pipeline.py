@@ -420,16 +420,12 @@ def _screen_dataset(
 
     # cascade: a dropped ancestor takes its descendants with it
     levels = sorted(tables)
-    for i, level in enumerate(levels):
-        if i == 0:
-            continue
-        parent_level = levels[i - 1]
-        parents = {row.key for row in tables[parent_level].rows}
-        table = tables[level]
-        keep = [row.key.ancestor(parent_level) in parents for row in table.rows]
-        pruned = len(keep) - sum(keep)
-        stats["orphans_pruned"][level.name.lower()] = pruned
-        tables[level] = table.filter_rows(keep)
+    for parent_level, level in zip(levels, levels[1:]):
+        parents = {row.key.ids for row in tables[parent_level].rows}
+        depth = parent_level + 1
+        keep = [row.key.ids[:depth] in parents for row in tables[level].rows]
+        stats["orphans_pruned"][level.name.lower()] = len(keep) - sum(keep)
+        tables[level] = tables[level].filter_rows(keep)
 
     stats["limit_flags"] = flags
     return HierarchicalDataset(tables), stats
@@ -578,6 +574,7 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
 
     # --- targets
     time_column = _time_column(config.encodings, analysis)
+    lifted_rules = {d.rule for d in config.lifts if isinstance(d, RejectRateLift)}
     target_results: dict[str, TargetResult] = {}
     target_meta = []
     for directive in config.targets:
@@ -585,6 +582,7 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
             directive,
             dataset,
             analysis,
+            lifted_rules,
             feature_table,
             encoding_specs,
             time_column,
@@ -640,6 +638,7 @@ def _run_target(
     directive: TargetDirective,
     dataset: HierarchicalDataset,
     analysis: Table,
+    lifted_rules: set[lift.RejectionRule],
     feature_table: Table,
     encoding_specs: list[feats.TimeEncodingSpec],
     time_column: str | None,
@@ -649,13 +648,13 @@ def _run_target(
 ) -> TargetResult:
     artifacts: dict[str, str] = {}
 
-    # source values aligned with analysis rows
-    if directive.problem is not None:
+    # source values aligned with analysis rows; a lifted problem rule's column is reused
+    if directive.problem is None or directive.problem in lifted_rules:
+        values = analysis.values(directive.source_name())
+    else:
         rate_table = lift.lift_reject_rate(dataset, directive.problem)
         rates = {row.key: row.cells[0] for row in rate_table.rows}
         values = [rates[row.key] for row in analysis.rows]
-    else:
-        values = analysis.values(directive.source_column)
 
     histogram_report = targeting.histogram(values, directive.histogram_bins)
     histogram_name = f"{directive.name}_histogram.csv"

@@ -1,14 +1,17 @@
+import json
 from datetime import datetime
 
 import pytest
 
 from conftest import BATCH, batch_key, numeric_table
+from yieldtree.cli import main
 from yieldtree.errors import ParseError, SchemaError
 from yieldtree.ingest import (
     DEFAULT_MISSING_TOKENS,
     TableSchema,
     apply_sensor_limits,
     drop_missing,
+    load_dataset,
     load_table,
     table_schema,
     write_table,
@@ -161,3 +164,29 @@ class TestRoundTrip:
 
     def test_default_missing_tokens(self):
         assert DEFAULT_MISSING_TOKENS == frozenset({"", "NA", "na", "?"})
+
+
+class TestNonFiniteNumerics:
+    """float() accepts nan and inf; a numeric cell must be a finite number."""
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_load_dataset_raises_parse_error(self, tmp_path, batch_schema, text):
+        path = write_csv(tmp_path, f"batch_id,oven_temp\nb1,350\nb2,{text}\n")
+        with pytest.raises(ParseError, match=rf"row 2, column oven_temp: .*{text}.* finite"):
+            load_dataset([(path, batch_schema)])
+
+    def test_cli_exits_with_data_error(self, tmp_path, capsys):
+        write_csv(tmp_path, "batch_id,oven_temp,yield\nb1,350,95\nb2,nan,85\nb3,inf,70\n", "batch.csv")
+        doc = {
+            "input": {"csv": [
+                {"path": "batch.csv", "level": "batch", "key_columns": ["batch_id"],
+                 "columns": [{"name": "oven_temp", "kind": "numeric"},
+                             {"name": "yield", "kind": "numeric"}]},
+            ]},
+            "targets": [{"name": "t", "source_column": "yield", "strategy": "fixed", "threshold": 90.0}],
+            "train": {"min_leaf": 1},
+            "outputs": {"dir": "out"},
+        }
+        config = write_csv(tmp_path, json.dumps(doc), "config.json")
+        assert main(["analyze", "--config", str(config)]) == 2
+        assert "'nan'" in capsys.readouterr().err

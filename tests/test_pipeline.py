@@ -305,3 +305,35 @@ class TestReportMode:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(base_config("out", n_batches=30)), encoding="utf-8")
         assert main(["report", "--config", str(path)]) == 0
+
+
+class TestRejectRateComputedOnce:
+    def _count_calls(self, monkeypatch):
+        from yieldtree import lift
+
+        calls = []
+        original = lift.lift_reject_rate
+
+        def counted(dataset, rule):
+            calls.append(rule)
+            return original(dataset, rule)
+
+        monkeypatch.setattr(lift, "lift_reject_rate", counted)
+        return calls
+
+    def test_problem_equal_to_a_configured_lift_reuses_its_column(self, tmp_path, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        doc = base_config(tmp_path / "out", n_batches=30)
+        doc["targets"] = [{"name": "x_problem", "problem": {"parameter": "x", "threshold": 10.0},
+                           "strategy": "median", "direction": "above"}]
+        result = run_config(doc, tmp_path)
+        assert len(calls) == 1
+        assert result.targets["x_problem"].labeled is not None
+
+    def test_problem_unlike_every_lift_is_computed(self, tmp_path, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        doc = base_config(tmp_path / "out", n_batches=30)
+        rule = {"parameter": "x", "threshold": 10.0, "min_count": 1}
+        doc["targets"] = [{"name": "x_any", "problem": rule, "strategy": "median", "direction": "above"}]
+        run_config(doc, tmp_path)
+        assert [c.min_count for c in calls] == [2, 1]
