@@ -101,7 +101,6 @@ from .target import (
     histogram,
     label_by_threshold,
     make_problem_target,
-    one_vs_rest,
     threshold_median,
     threshold_valley,
     yield_series,

@@ -107,7 +107,7 @@ def lift_stats(
         Column(f"{parameter}_{suffix}", ColumnKind.NUMERIC) for suffix in STAT_SUFFIXES
     )
     rows = []
-    for key in sorted(_target_keys(dataset, to_level, groups), key=lambda k: k.sort_key()):
+    for key in sorted(_target_keys(dataset, to_level, groups), key=lambda k: k.ids):
         group = by_key.get(key)
         values = (
             [row.cells[value_index] for row in group.rows if not is_missing(row.cells[value_index])]
@@ -125,8 +125,9 @@ def lift_stats(
 def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table:
     """Method B: per batch, the percentage of wafers failing the k-of-n rule.
 
-    The percentage is computed in exact rational arithmetic and rendered as
-    a float at the end.
+    The output has one row per batch-table row, in batch-table order, so its
+    values align with any table that keeps that order. The percentage is
+    computed in exact rational arithmetic and rendered as a float at the end.
     """
     for level in (GranularityLevel.BATCH, GranularityLevel.WAFER, GranularityLevel.SITE):
         if level not in dataset.tables:

@@ -137,10 +137,6 @@ class EntityKey:
         ids = self.ids[: level.value + 1]
         return EntityKey(level, *ids)
 
-    def sort_key(self) -> tuple[str, ...]:
-        """Lexicographic ordering of identifiers; the package-wide sort order."""
-        return self.ids
-
     def __str__(self) -> str:
         return "/".join(self.ids)
 
@@ -297,6 +293,13 @@ class LabeledDataset:
     @property
     def positives(self) -> int:
         return sum(self.labels)
+
+    def filter_rows(self, keep: Sequence[bool]) -> "LabeledDataset":
+        """New dataset keeping rows where the mask is true; order preserved."""
+        return LabeledDataset(
+            self.features.filter_rows(keep),
+            tuple(label for label, k in zip(self.labels, keep) if k),
+        )
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .model import (
     HierarchicalDataset,
     LabeledDataset,
     Table,
-    is_missing,
     join_tables,
     validate_hierarchy,
 )
@@ -108,62 +107,22 @@ class EncodingSettings:
     epoch: datetime = feats.DEFAULT_EPOCH
     batch_order_id_column: str | None = None
 
-    def specs(self) -> list[feats.TimeEncodingSpec]:
-        specs = []
-        if self.cyclical_time_column:
-            specs.append(
-                feats.TimeEncodingSpec(feats.TimeMode.CYCLICAL, holiday_dates=frozenset(self.holidays))
-            )
-        if self.sequential_time_column:
-            specs.append(feats.TimeEncodingSpec(feats.TimeMode.SEQUENTIAL, epoch=self.epoch))
-        return specs
-
 
 @dataclass(frozen=True)
 class TargetDirective:
-    """One binary target: a column threshold or a per-problem rejection rule."""
+    """One binary target: a column threshold or a per-problem rejection rule.
+
+    A problem target's spec.source_column is the rule's reject-rate column.
+    """
 
     name: str
-    source_column: str | None = None
+    spec: targeting.TargetSpec
     problem: lift.RejectionRule | None = None
-    strategy: targeting.ThresholdStrategy = targeting.ThresholdStrategy.MEDIAN
-    threshold: float | None = None
-    bins: int | None = None
-    direction: targeting.Direction = targeting.Direction.BELOW
-    grey_half_width: float = 0.0
     histogram_bins: int = targeting.DEFAULT_HISTOGRAM_BINS
 
     def __post_init__(self) -> None:
-        if (self.source_column is None) == (self.problem is None):
-            raise UsageError(
-                f"target {self.name!r} needs exactly one of source_column or problem"
-            )
         if not self.name or not all(c.isalnum() or c in "_-" for c in self.name):
             raise UsageError(f"target name {self.name!r} must be a file-name-safe token")
-        # reuse TargetSpec validation for the strategy parameters
-        targeting.TargetSpec(
-            self.source_name(),
-            self.strategy,
-            threshold=self.threshold,
-            bins=self.bins,
-            direction=self.direction,
-            grey_half_width=self.grey_half_width,
-        )
-
-    def source_name(self) -> str:
-        if self.source_column is not None:
-            return self.source_column
-        return self.problem.reject_rate_column()
-
-    def spec(self) -> targeting.TargetSpec:
-        return targeting.TargetSpec(
-            self.source_name(),
-            self.strategy,
-            threshold=self.threshold,
-            bins=self.bins,
-            direction=self.direction,
-            grey_half_width=self.grey_half_width,
-        )
 
 
 @dataclass(frozen=True)
@@ -256,6 +215,12 @@ def _parse_encodings(doc: dict) -> EncodingSettings:
 
 def _parse_target(doc: dict, index: int) -> TargetDirective:
     context = f"target #{index + 1}"
+    name = doc.get("name", "target")
+    source_column = doc.get("source_column")
+    problem_doc = doc.get("problem")
+    if (source_column is None) == (problem_doc is None):
+        raise UsageError(f"target {name!r} needs exactly one of source_column or problem")
+    problem = None if problem_doc is None else _parse_rule(problem_doc, f"{context}.problem")
     strategy_name = doc.get("strategy", "median")
     try:
         strategy = targeting.ThresholdStrategy(strategy_name)
@@ -266,15 +231,18 @@ def _parse_target(doc: dict, index: int) -> TargetDirective:
     except ValueError:
         raise UsageError(f"{context}: direction must be 'below' or 'above'") from None
     threshold = doc.get("threshold", doc.get("U"))
-    return TargetDirective(
-        name=doc.get("name", "target"),
-        source_column=doc.get("source_column"),
-        problem=_parse_rule(doc["problem"], f"{context}.problem") if "problem" in doc else None,
-        strategy=strategy,
+    spec = targeting.TargetSpec(
+        source_column if problem is None else problem.reject_rate_column(),
+        strategy,
         threshold=float(threshold) if threshold is not None else None,
         bins=int(doc["bins"]) if "bins" in doc else None,
         direction=direction,
         grey_half_width=float(doc.get("grey_half_width", 0.0)),
+    )
+    return TargetDirective(
+        name,
+        spec,
+        problem,
         histogram_bins=int(doc.get("histogram_bins", targeting.DEFAULT_HISTOGRAM_BINS)),
     )
 
@@ -457,14 +425,16 @@ def _apply_encodings(
     if settings.cyclical_time_column:
         analysis = feats.encode_cyclical(analysis, settings.cyclical_time_column, settings.holidays)
         meta["cyclical"] = list(feats.CYCLICAL_COLUMNS)
+    specs: list[feats.TimeEncodingSpec] = []
     if settings.sequential_time_column:
         spec = feats.TimeEncodingSpec(feats.TimeMode.SEQUENTIAL, epoch=settings.epoch)
         analysis = feats.encode_sequential(analysis, settings.sequential_time_column, spec)
         meta["sequential"] = [feats.SEQUENTIAL_COLUMN]
+        specs.append(spec)
     if settings.batch_order_id_column:
         analysis = feats.order_from_batch_id(analysis, settings.batch_order_id_column)
         meta["batch_order"] = [feats.BATCH_ORDER_COLUMN]
-    return analysis, settings.specs(), meta
+    return analysis, specs, meta
 
 
 def _time_column(settings: EncodingSettings, analysis: Table) -> str | None:
@@ -479,22 +449,13 @@ def _time_column(settings: EncodingSettings, analysis: Table) -> str | None:
     return None
 
 
-def _split_indices(n: int, fraction: float, seed: int) -> tuple[list[int], list[int]]:
-    if fraction == 0.0 or n < 2:
-        return list(range(n)), []
-    permuted = PortableRandom(seed).shuffled(range(n))
-    n_test = int(fraction * n)
-    return sorted(permuted[n_test:]), sorted(permuted[:n_test])
-
-
-def _subset(labeled: LabeledDataset, indices: list[int]) -> LabeledDataset:
-    mask = [False] * len(labeled)
-    for i in indices:
-        mask[i] = True
-    return LabeledDataset(
-        labeled.features.filter_rows(mask),
-        tuple(labeled.labels[i] for i in indices),
-    )
+def _holdout_mask(n: int, fraction: float, seed: int) -> list[bool]:
+    """True for the int(fraction * n) rows held out for evaluation."""
+    held_out = [False] * n
+    if fraction:
+        for i in PortableRandom(seed).shuffled(range(n))[: int(fraction * n)]:
+            held_out[i] = True
+    return held_out
 
 
 def _eval_to_dict(report: EvalReport | None) -> dict | None:
@@ -545,7 +506,7 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
     analysis, encoding_specs, encoding_meta = _apply_encodings(analysis, config.encodings)
 
     # --- feature candidates: everything except target sources and excludes
-    source_columns = {t.source_name() for t in config.targets}
+    source_columns = {t.spec.source_column for t in config.targets}
     shielded = source_columns | set(config.feature_excludes)
     feature_table = analysis.without_columns(
         [name for name in analysis.column_names if name in shielded]
@@ -595,11 +556,11 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
         target_meta.append(
             {
                 "name": directive.name,
-                "source": directive.source_name(),
-                "strategy": directive.strategy.value,
-                "direction": directive.direction.value,
+                "source": directive.spec.source_column,
+                "strategy": directive.spec.strategy.value,
+                "direction": directive.spec.direction.value,
                 "threshold": result.threshold,
-                "grey_half_width": directive.grey_half_width,
+                "grey_half_width": directive.spec.grey_half_width,
                 "grey_deleted": result.grey_deleted,
                 "labeled": None
                 if labeled is None
@@ -648,13 +609,13 @@ def _run_target(
 ) -> TargetResult:
     artifacts: dict[str, str] = {}
 
-    # source values aligned with analysis rows; a lifted problem rule's column is reused
+    # source values aligned with analysis rows, which keep batch-table order
+    # as lift_reject_rate does; a lifted problem rule's column is reused
+    spec = directive.spec
     if directive.problem is None or directive.problem in lifted_rules:
-        values = analysis.values(directive.source_name())
+        values = analysis.values(spec.source_column)
     else:
-        rate_table = lift.lift_reject_rate(dataset, directive.problem)
-        rates = {row.key: row.cells[0] for row in rate_table.rows}
-        values = [rates[row.key] for row in analysis.rows]
+        values = lift.lift_reject_rate(dataset, directive.problem).values(spec.source_column)
 
     histogram_report = targeting.histogram(values, directive.histogram_bins)
     histogram_name = f"{directive.name}_histogram.csv"
@@ -662,20 +623,11 @@ def _run_target(
     artifacts["histogram"] = histogram_name
 
     if time_column is not None and analysis.has_column(time_column):
-        times = analysis.values(time_column)
-        series = sorted(
-            (
-                (t, v)
-                for t, v in zip(times, values)
-                if not is_missing(t) and not is_missing(v)
-            ),
-            key=lambda pair: pair[0],
-        )
+        series = targeting.yield_series(analysis.values(time_column), values)
         series_name = f"{directive.name}_over_time.csv"
         targeting.write_series_csv(series, output_dir / series_name)
         artifacts["series"] = series_name
 
-    spec = directive.spec()
     if report_only:
         try:
             threshold = spec.resolve_threshold(values)
@@ -687,17 +639,17 @@ def _run_target(
 
     threshold = spec.resolve_threshold(values)
     labeled, grey_deleted = targeting.apply_grey_region(
-        feature_table, values, threshold, directive.grey_half_width, directive.direction
+        feature_table, values, threshold, spec.grey_half_width, spec.direction
     )
 
-    train_idx, test_idx = _split_indices(
+    held_out = _holdout_mask(
         len(labeled),
         train_settings.test_fraction,
         derive_seed(train_settings.split_seed, directive.name),
     )
-    train_set = _subset(labeled, train_idx) if test_idx else labeled
+    train_set = labeled.filter_rows([not h for h in held_out]) if any(held_out) else labeled
     tree = train(train_set, train_settings.config)
-    evaluation = evaluate(tree, _subset(labeled, test_idx)) if test_idx else None
+    evaluation = evaluate(tree, labeled.filter_rows(held_out)) if any(held_out) else None
 
     rules = extract_rules(tree)
     report_text = render_report(rules, encoding_specs)

@@ -165,14 +165,14 @@ def threshold_valley(values: Sequence[float], bins: int) -> float:
 
 
 def yield_series(
-    table: Table, source_column: str, time_column: str
+    times: Sequence[datetime], values: Sequence[float]
 ) -> list[tuple[datetime, float]]:
     """(time, value) pairs sorted ascending by time; ties keep input order.
 
-    Rows with a missing time or value are left out.
+    Pairs with a missing time or value are left out.
     """
-    times = table.values(time_column)
-    values = table.values(source_column)
+    if len(times) != len(values):
+        raise UsageError("values do not align with times")
     series = [
         (t, v)
         for t, v in zip(times, values)
@@ -190,23 +190,25 @@ def apply_grey_region(
     direction: Direction = Direction.BELOW,
 ) -> tuple[LabeledDataset, int]:
     """Delete rows whose value lies in the open interval (t - delta, t + delta),
-    then label the remainder by threshold."""
+    then label the remainder by threshold.
+
+    Raises EmptyDatasetError when the deletion leaves no row, or removes
+    every row of a class the values had: a tree cannot learn a class it
+    never sees.
+    """
     if delta < 0:
         raise UsageError("grey half-width must be >= 0")
     if len(values) != len(features.rows):
         raise UsageError("values do not align with feature rows")
-    for i, value in enumerate(values):
-        if is_missing(value):
-            raise DataError(f"target value at row {i} is missing; targets must be complete")
-    keep = [not (t - delta < v < t + delta) for v in values]
-    kept_table = features.filter_rows(keep)
-    if not kept_table.rows:
-        raise EmptyDatasetError(
-            f"grey region ({t - delta}, {t + delta}) deleted every row"
-        )
-    kept_values = [v for v, k in zip(values, keep) if k]
-    labels = label_by_threshold(kept_values, t, direction)
-    return LabeledDataset(kept_table, tuple(labels)), len(values) - len(kept_values)
+    labeled = LabeledDataset(features, tuple(label_by_threshold(values, t, direction)))
+    kept = labeled.filter_rows([not (t - delta < v < t + delta) for v in values])
+    grey = f"grey region ({t - delta}, {t + delta})"
+    if not kept.labels:
+        raise EmptyDatasetError(f"{grey} deleted every row")
+    lost = set(labeled.labels) - set(kept.labels)
+    if lost:
+        raise EmptyDatasetError(f"{grey} deleted every class-{lost.pop()} row")
+    return kept, len(labeled) - len(kept)
 
 
 def make_problem_target(
@@ -218,29 +220,10 @@ def make_problem_target(
 ) -> LabeledDataset:
     """Per-problem target: lift the rejection rate Y per batch, then label
     batches by Y against U. Features are the batch table's columns."""
-    rate_table = lift_reject_rate(dataset, rule)
-    rates = {row.key: row.cells[0] for row in rate_table.rows}
+    values = lift_reject_rate(dataset, rule).values(rule.reject_rate_column())
     batch = dataset.table(GranularityLevel.BATCH)
-    values = [rates[row.key] for row in batch.rows]
     labeled, _ = apply_grey_region(batch, values, U, grey_half_width, direction)
     return labeled
-
-
-def one_vs_rest(
-    features: Table, labelings: Sequence[tuple[str, Sequence[int]]]
-) -> list[tuple[str, LabeledDataset]]:
-    """One LabeledDataset per named labeling over the shared feature table.
-
-    Labelings may overlap: a row can be class 1 in several of them.
-    """
-    datasets = []
-    for name, labels in labelings:
-        if len(labels) != len(features.rows):
-            raise UsageError(
-                f"labeling {name!r} has {len(labels)} labels for {len(features.rows)} rows"
-            )
-        datasets.append((name, LabeledDataset(features, tuple(labels))))
-    return datasets
 
 
 def write_histogram_csv(report: HistogramReport, path: str | Path) -> None:

@@ -73,7 +73,7 @@ def reference_groups(table, level):
     buckets = {}
     for row in table.rows:
         buckets.setdefault(row.key.ancestor(level), []).append(row)
-    return [(key, tuple(buckets[key])) for key in sorted(buckets, key=lambda k: k.sort_key())]
+    return [(key, tuple(buckets[key])) for key in sorted(buckets, key=lambda k: k.ids)]
 
 
 def reference_violations(dataset):

@@ -130,6 +130,24 @@ class TestLiftRejectRate:
         with pytest.raises(UsageError):
             RejectionRule("x", 10.0, 0)
 
+    def test_rows_follow_batch_table_order(self):
+        """One output row per batch-table row, in batch-table order, whatever
+        the order of the rows at every level: callers align the rates with
+        the batch table by position."""
+        rng = random.Random(5)
+        rule = RejectionRule("x", 10.0, 2)
+        for _ in range(20):
+            nest, dataset = random_hierarchy(rng, max_batches=8)
+            for level in (BATCH, WAFER, SITE):
+                table = dataset.table(level)
+                rows = tuple(rng.sample(table.rows, len(table.rows)))
+                dataset = dataset.with_table(Table(level, table.columns, rows))
+            rates = lift_reject_rate(dataset, rule)
+            assert [r.key for r in rates.rows] == [r.key for r in dataset.table(BATCH).rows]
+            for row in rates.rows:
+                wafers = list(nest[row.key.batch_id].values())
+                assert row.cells[0] == float(reject_rate_oracle(wafers, 10.0, 2))
+
     def test_threshold_monotonicity_and_bounds(self):
         rng = random.Random(3)
         nest, dataset = random_hierarchy(rng)

@@ -10,6 +10,7 @@ from yieldtree.model import (
     EntityKey,
     GranularityLevel,
     HierarchicalDataset,
+    LabeledDataset,
     Row,
     Table,
     group_by_ancestor,
@@ -81,6 +82,26 @@ class TestTable:
         assert grown.without_columns(["x"]).column_names == ("y",)
         with pytest.raises(UsageError):
             grown.with_added_columns([Column("x", ColumnKind.NUMERIC)], [(0.0,)])
+
+
+class TestLabeledDataset:
+    def _features(self, n):
+        column = Column("x", ColumnKind.NUMERIC)
+        return Table(BATCH, (column,), tuple(Row(batch_key(f"b{i}"), (float(i),)) for i in range(n)))
+
+    def test_labels_must_align_and_be_binary(self):
+        with pytest.raises(UsageError, match="2 labels for 1 rows"):
+            LabeledDataset(self._features(1), (0, 1))
+        with pytest.raises(UsageError, match="0 or 1"):
+            LabeledDataset(self._features(1), (2,))
+
+    def test_filter_rows_keeps_rows_and_labels_together(self):
+        labeled = LabeledDataset(self._features(4), (0, 1, 1, 0))
+        kept = labeled.filter_rows([True, False, True, True])
+        assert [r.key.batch_id for r in kept.features.rows] == ["b0", "b2", "b3"]
+        assert kept.labels == (0, 1, 0)
+        with pytest.raises(UsageError, match="mask"):
+            labeled.filter_rows([True])
 
 
 def _dataset(batches, wafers):
@@ -159,7 +180,7 @@ class TestGroupByAncestor:
             regrouped = [row for g in groups for row in g.rows]
             assert len(regrouped) == len(rows) and set(regrouped) == set(rows)  # union = rows, disjoint
             assert [g.key for g in groups] == sorted(
-                {r.key.ancestor(level) for r in rows}, key=lambda k: k.sort_key()
+                {r.key.ancestor(level) for r in rows}, key=lambda k: k.ids
             )
 
 

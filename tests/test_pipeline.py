@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from test_golden import X_RULE, csv_config, write_shuffled_csvs
 from yieldtree.cli import main
 from yieldtree.errors import UsageError
 from yieldtree.pipeline import config_from_dict, run_pipeline
@@ -24,6 +25,17 @@ def base_config(out_dir, n_batches=40, seed=3):
         "train": {"max_depth": 3, "min_leaf": 5},
         "outputs": {"dir": str(out_dir)},
     }
+
+
+EXACTLY_ONE = "exactly one of source_column or problem"
+BAD_TARGETS = [
+    ({"name": "t", "source_column": "yield", "problem": X_RULE}, EXACTLY_ONE),
+    ({"name": "t"}, EXACTLY_ONE),
+    ({"name": "t", "source_column": None}, EXACTLY_ONE),
+    ({"name": "t", "source_column": None, "problem": None}, EXACTLY_ONE),
+    ({"name": "no/slash", "source_column": "yield"}, "file-name-safe"),
+    ({"name": "", "source_column": "yield"}, "file-name-safe"),
+]
 
 
 def run_config(doc, base="."):
@@ -64,6 +76,21 @@ class TestConfigValidation:
         doc["target"] = doc.pop("targets")[0]
         config = config_from_dict(doc, tmp_path)
         assert [t.name for t in config.targets] == ["prob"]
+
+    @pytest.mark.parametrize("target, message", BAD_TARGETS)
+    def test_bad_target_is_usage_error(self, tmp_path, target, message):
+        doc = base_config(tmp_path / "out")
+        doc["targets"] = [target]
+        with pytest.raises(UsageError, match=message):
+            config_from_dict(doc, tmp_path)
+
+    def test_null_source_beside_a_problem_is_absent(self, tmp_path):
+        doc = base_config(tmp_path / "out")
+        doc["targets"] = [{"name": "p", "source_column": None, "problem": X_RULE},
+                          {"name": "s", "source_column": "yield", "problem": None}]
+        problem, source = config_from_dict(doc, tmp_path).targets
+        assert problem.spec.source_column == "x_reject_pct" and problem.problem is not None
+        assert source.spec.source_column == "yield" and source.problem is None
 
 
 class TestHappyPath:
@@ -257,6 +284,24 @@ class TestExitCodes:
         path = self.write_config(tmp_path, doc)
         assert main(["analyze", "--config", path]) == 2
         assert "B99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, message", BAD_TARGETS)
+    def test_bad_target_exits_one(self, tmp_path, capsys, target, message):
+        doc = base_config("out")
+        doc["targets"] = [target]
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_grey_region_leaving_one_class_exits_three(self, tmp_path, capsys):
+        # median reject rate 0.0: the grey region deletes every class-0 batch
+        write_shuffled_csvs(tmp_path / "data")
+        doc = csv_config()
+        doc["targets"] = [{"name": "x_problem", "problem": X_RULE, "strategy": "median",
+                           "direction": "above", "grey_half_width": 2.0}]
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 3
+        assert "grey region (-2.0, 2.0) deleted every class-0 row" in capsys.readouterr().err
 
     def test_bad_cli_arguments_exit_one(self, capsys):
         assert main(["analyze"]) == 1

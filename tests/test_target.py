@@ -7,14 +7,13 @@ from conftest import BATCH, batch_key, build_hierarchy, numeric_table
 from oracles import histogram_oracle, valley_oracle
 from yieldtree.errors import DataError, EmptyDatasetError, NoValleyError, UsageError
 from yieldtree.lift import RejectionRule
-from yieldtree.model import MISSING, Column, ColumnKind, Row, Table
+from yieldtree.model import MISSING
 from yieldtree.target import (
     Direction,
     apply_grey_region,
     histogram,
     label_by_threshold,
     make_problem_target,
-    one_vs_rest,
     threshold_median,
     threshold_valley,
     yield_series,
@@ -123,26 +122,27 @@ class TestThresholdValley:
 
 
 class TestYieldSeries:
-    def _table(self, entries):
-        columns = (Column("ts", ColumnKind.TIMESTAMP), Column("yield", ColumnKind.NUMERIC))
-        rows = tuple(
-            Row(batch_key(f"b{i}"), (ts, v)) for i, (ts, v) in enumerate(entries)
-        )
-        return Table(BATCH, columns, rows)
-
     def test_sorted_by_time(self):
         t0 = datetime(1990, 1, 1)
-        table = self._table([(t0 + timedelta(hours=2), 90.0), (t0, 95.0), (t0 + timedelta(hours=1), 85.0)])
-        series = yield_series(table, "yield", "ts")
+        times = [t0 + timedelta(hours=2), t0, t0 + timedelta(hours=1)]
+        series = yield_series(times, [90.0, 95.0, 85.0])
         assert [v for _, v in series] == [95.0, 85.0, 90.0]
 
     def test_ties_keep_input_order(self):
         t0 = datetime(1990, 1, 1)
-        table = self._table([(t0, 1.0), (t0, 2.0), (t0, 3.0)])
-        assert [v for _, v in yield_series(table, "yield", "ts")] == [1.0, 2.0, 3.0]
+        assert [v for _, v in yield_series([t0] * 3, [1.0, 2.0, 3.0])] == [1.0, 2.0, 3.0]
 
     def test_empty_table(self):
-        assert yield_series(self._table([]), "yield", "ts") == []
+        assert yield_series([], []) == []
+
+    def test_missing_time_or_value_left_out(self):
+        t0 = datetime(1990, 1, 1)
+        series = yield_series([t0, MISSING, t0], [1.0, 2.0, MISSING])
+        assert series == [(t0, 1.0)]
+
+    def test_misaligned_values_rejected(self):
+        with pytest.raises(UsageError, match="align"):
+            yield_series([datetime(1990, 1, 1)], [1.0, 2.0])
 
 
 class TestGreyRegion:
@@ -170,6 +170,17 @@ class TestGreyRegion:
     def test_all_rows_deleted_is_error(self):
         with pytest.raises(EmptyDatasetError):
             apply_grey_region(self._features(2), [90.0, 90.1], 90.0, 5.0)
+
+    def test_deleting_every_row_of_one_class_is_error(self):
+        # 89 and 91 straddle t = 90; the grey region keeps only class-0 rows
+        with pytest.raises(EmptyDatasetError, match="deleted every class-1 row"):
+            apply_grey_region(self._features(3), [89.0, 91.0, 99.0], 90.0, 2.0)
+        with pytest.raises(EmptyDatasetError, match="deleted every class-0 row"):
+            apply_grey_region(self._features(3), [80.0, 89.0, 91.0], 90.0, 2.0, Direction.BELOW)
+
+    def test_one_class_input_is_not_rejected(self):
+        labeled, deleted = apply_grey_region(self._features(3), [80.0, 81.0, 89.0], 90.0, 2.0)
+        assert labeled.labels == (1, 1) and deleted == 1
 
     def test_conservation_on_random_inputs(self):
         rng = random.Random(12)
@@ -209,21 +220,3 @@ class TestMakeProblemTarget:
             make_problem_target(
                 dataset, RejectionRule("x", 10.0, 2), 50.0, grey_half_width=60.0
             )
-
-
-class TestOneVsRest:
-    def test_fan_out_shares_features(self):
-        features = numeric_table(BATCH, "f", [(batch_key("b1"), 1.0), (batch_key("b2"), 2.0)])
-        out = one_vs_rest(features, [("a", [0, 1]), ("b", [1, 1])])
-        assert [name for name, _ in out] == ["a", "b"]
-        assert out[0][1].features is features and out[1][1].features is features
-        assert out[1][1].labels == (1, 1)  # overlap is legal
-
-    def test_empty_list(self):
-        features = numeric_table(BATCH, "f", [(batch_key("b1"), 1.0)])
-        assert one_vs_rest(features, []) == []
-
-    def test_misaligned_labeling_rejected(self):
-        features = numeric_table(BATCH, "f", [(batch_key("b1"), 1.0)])
-        with pytest.raises(UsageError):
-            one_vs_rest(features, [("bad", [0, 1])])
