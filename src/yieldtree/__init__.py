@@ -55,7 +55,7 @@ from .ingest import (
     write_table,
 )
 from .lift import (
-    Comparator,
+    Direction,
     RejectionRule,
     broadcast_down,
     lift_reject_rate,
@@ -93,7 +93,6 @@ from .synthfab import (
     scenario_to_dict,
 )
 from .target import (
-    Direction,
     HistogramReport,
     TargetSpec,
     ThresholdStrategy,

@@ -10,12 +10,11 @@ Exit codes: 0 success, 1 usage/config error, 2 data validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import AnalysisError, DataError, UsageError
-from .ingest import write_dataset
+from .ingest import read_json, write_dataset, write_json
 from .pipeline import load_config, run_pipeline
 from .synthfab import generate, scenario_from_dict, scenario_to_dict
 
@@ -35,27 +34,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_scenario(path: Path):
-    try:
-        with path.open(encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise UsageError(f"scenario file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"scenario file {path} is not valid JSON: {exc}") from None
-    return scenario_from_dict(doc)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(Path(args.scenario))
+    scenario = scenario_from_dict(read_json(Path(args.scenario), "scenario"))
     dataset = generate(scenario)
     out = Path(args.out)
     written = write_dataset(dataset, out)
     echo = out / "scenario.json"
-    echo.write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(scenario_to_dict(scenario), echo)
     for level in sorted(written):
         rows = len(dataset.tables[level])
         print(f"wrote {written[level]} ({rows} rows)")

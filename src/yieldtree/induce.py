@@ -314,9 +314,6 @@ class Condition:
     test: SplitTest
     negated: bool = False
 
-    def holds(self, value: Any) -> bool:
-        return self.test.passes(value) != self.negated
-
     def describe(self) -> str:
         value = _format_value(
             self.test.threshold if self.test.is_numeric else self.test.category
@@ -335,7 +332,6 @@ class Rule:
     conditions: tuple[Condition, ...]
     support: int
     confidence: float
-    predicted_class: int = 1
 
 
 def extract_rules(tree: DecisionTree) -> list[Rule]:

@@ -8,11 +8,15 @@ time-zone arithmetic anywhere.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import json
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime
+from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Mapping, TypeVar
 
 from .errors import ParseError, SchemaError, UsageError
 from .model import (
@@ -26,6 +30,8 @@ from .model import (
     Table,
     is_missing,
 )
+
+T = TypeVar("T")
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 
@@ -74,6 +80,115 @@ def parse_timestamp(text: str) -> datetime:
 
 def format_timestamp(value: datetime) -> str:
     return value.strftime(TIMESTAMP_FORMAT)
+
+
+def read_json(path: Path, what: str) -> Any:
+    try:
+        with path.open(encoding="utf-8") as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise UsageError(f"{what} file {path} does not exist") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def write_json(doc: Any, path: Path) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_fields(doc: Any, context: str, **readers: Callable[[Any], Any]) -> dict[str, Any]:
+    """Keyword arguments from a JSON object, each field read by its reader.
+
+    A reader takes one JSON value and returns its Python value, or raises
+    KeyError, TypeError or ValueError. A field without a reader is a
+    UsageError. A null field counts as absent and is left out, so the
+    dataclass default applies. A value its reader rejects is a UsageError.
+    """
+    if not isinstance(doc, dict):
+        raise UsageError(f"{context} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(readers))
+    if unknown:
+        raise UsageError(f"unknown {context} fields: {unknown}")
+    fields = {}
+    for name, value in doc.items():
+        try:
+            if value is not None:
+                fields[name] = readers[name](value)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"{context}: {name} {value!r} is invalid: {exc}") from None
+    return fields
+
+
+def read_tagged(doc: Any, context: str, tag: str, reader: Callable[[Any], T]) -> tuple[T, dict]:
+    """The required field `tag` of a JSON object, read, and its other
+    fields, unread: e.g. an effect's "type" and its parameters."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"{context} must be a JSON object, got {doc!r}")
+    rest = dict(doc)
+    fields = read_fields({tag: rest.pop(tag, None)}, context, **{tag: reader})
+    if tag not in fields:
+        raise UsageError(f"{context} needs field {tag!r}")
+    return fields[tag], rest
+
+
+def instance(cls: type[T], context: str, **readers: Callable[[Any], Any]) -> Callable[[Any], T]:
+    """Reader of a JSON object as the dataclass cls; a field of cls without
+    a default is required."""
+
+    def read(doc: Any) -> T:
+        fields = read_fields(doc, context, **readers)
+        for field in dataclasses.fields(cls):
+            no_default = field.default is field.default_factory is dataclasses.MISSING
+            if no_default and field.name not in fields:
+                raise UsageError(f"{context} needs field {field.name!r}")
+        return cls(**fields)
+
+    return read
+
+
+def _exactly(kind: type, expected: str) -> Callable[[Any], Any]:
+    """Reader of a value of exactly this type: true is not an integer."""
+
+    def read(value: Any) -> Any:
+        if type(value) is not kind:
+            raise TypeError(f"expected {expected}")
+        return value
+
+    return read
+
+
+integer = _exactly(int, "an integer")
+flag = _exactly(bool, "true or false")
+text = _exactly(str, "a string")
+
+
+def number(value: Any) -> float:
+    """A finite JSON integer or float, as a float."""
+    # the comparison is false for nan and infinities, and exact for integers
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError("expected a finite number")
+    return float(value)
+
+
+def array(item: Callable[[Any], T]) -> Callable[[Any], tuple[T, ...]]:
+    """Reader of a JSON array whose items `item` reads."""
+    items = _exactly(list, "an array")
+    return lambda value: tuple(item(v) for v in items(value))
+
+
+def choice(options: Mapping[str, T] | type[Enum]) -> Callable[[Any], T]:
+    """Reader of a key of options in any letter case; the keys of an enum
+    are its lower-case member names, e.g. "batch"."""
+    if not isinstance(options, Mapping):
+        options = {member.name.lower(): member for member in options}
+
+    def read(value: Any) -> T:
+        key = text(value).lower()
+        if key not in options:
+            raise ValueError(f"expected one of {sorted(options)}")
+        return options[key]
+
+    return read
 
 
 def _parse_cell(text: str, column: Column, row_number: int, tokens: frozenset[str]) -> Any:

@@ -26,15 +26,18 @@ from .model import (
 )
 
 
-class Comparator(str, Enum):
-    ABOVE = "above"
-    BELOW = "below"
+class Direction(str, Enum):
+    """Side of a threshold: where a site value counts toward rejection, or
+    where a target value is labeled class 1."""
 
-    def exceeds(self, value: float, threshold: float) -> bool:
-        """Strict comparison: equality never counts as exceeding."""
-        if self is Comparator.ABOVE:
-            return value > threshold
-        return value < threshold
+    BELOW = "below"
+    ABOVE = "above"
+
+    def beyond(self, value: float, threshold: float) -> bool:
+        """Strict comparison: a value equal to the threshold is never beyond it."""
+        if self is Direction.BELOW:
+            return value < threshold
+        return value > threshold
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class RejectionRule:
     parameter: str
     threshold: float
     min_count: int = 2
-    comparator: Comparator = Comparator.ABOVE
+    comparator: Direction = Direction.ABOVE
 
     def __post_init__(self) -> None:
         if self.min_count < 1:
@@ -57,7 +60,7 @@ class RejectionRule:
         return f"{self.parameter}_reject_pct"
 
     def wafer_rejected(self, site_values: list[float]) -> bool:
-        hits = sum(1 for v in site_values if self.comparator.exceeds(v, self.threshold))
+        hits = sum(1 for v in site_values if self.comparator.beyond(v, self.threshold))
         return hits >= self.min_count
 
 
@@ -123,7 +126,9 @@ def lift_stats(
 
 
 def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table:
-    """Method B: per batch, the percentage of wafers failing the k-of-n rule.
+    """Method B: per batch, the percentage of measured wafers failing the
+    k-of-n rule. A wafer with no value of the parameter is not measured; a
+    batch with no measured wafer is a DataError.
 
     The output has one row per batch-table row, in batch-table order, so its
     values align with any table that keeps that order. The percentage is
@@ -152,7 +157,7 @@ def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table
         wafer_group = wafers_by_batch.get(batch_key)
         if wafer_group is None:
             raise DataError(f"batch {batch_key} has zero wafers")
-        rejected = 0
+        rejected = measured = 0
         for wafer_row in wafer_group.rows:
             site_group = sites_by_wafer.get(wafer_row.key)
             values = (
@@ -160,9 +165,12 @@ def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table
                 if site_group
                 else []
             )
-            if rule.wafer_rejected(values):
-                rejected += 1
-        rate = Fraction(100 * rejected, len(wafer_group.rows))
+            if values:
+                measured += 1
+                rejected += rule.wafer_rejected(values)
+        if not measured:
+            raise DataError(f"no {rule.parameter!r} measurements under batch {batch_key}")
+        rate = Fraction(100 * rejected, measured)
         rows.append(Row(batch_key, (float(rate),)))
     return Table(GranularityLevel.BATCH, (column,), tuple(rows))
 

@@ -89,10 +89,9 @@ class Column:
                 raise UsageError(
                     f"column {self.name!r}: sensor limits require numeric kind"
                 )
-            lo, hi = self.sensor_limits
-            if not lo < hi:
+            if len(self.sensor_limits) != 2 or not self.sensor_limits[0] < self.sensor_limits[1]:
                 raise UsageError(
-                    f"column {self.name!r}: sensor limits need lo < hi, got ({lo}, {hi})"
+                    f"column {self.name!r}: sensor limits need lo < hi, got {self.sensor_limits}"
                 )
 
 

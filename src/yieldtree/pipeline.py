@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, datetime
 from pathlib import Path
 from typing import Any, Sequence
@@ -29,6 +29,21 @@ from .induce import (
     render_report,
     train,
 )
+from .ingest import (
+    TableSchema,
+    array,
+    choice,
+    flag,
+    instance,
+    integer,
+    number,
+    parse_timestamp,
+    read_fields,
+    read_json,
+    read_tagged,
+    text,
+    write_json,
+)
 from .model import (
     Column,
     ColumnKind,
@@ -43,48 +58,18 @@ from .rng import PortableRandom, derive_seed
 
 VERSION = "0.1.0"
 
-_LEVELS = {level.name.lower(): level for level in GranularityLevel}
-_KINDS = {kind.name.lower(): kind for kind in ColumnKind}
-
-
-def _require(doc: dict, key: str, context: str) -> Any:
-    if key not in doc:
-        raise UsageError(f"{context} needs field {key!r}")
-    return doc[key]
-
-
-def _level(name: Any, context: str) -> GranularityLevel:
-    if not isinstance(name, str) or name.lower() not in _LEVELS:
-        raise UsageError(f"{context}: unknown level {name!r}; expected one of {sorted(_LEVELS)}")
-    return _LEVELS[name.lower()]
-
-
-def _column_from_dict(doc: dict) -> Column:
-    name = _require(doc, "name", "column")
-    kind_name = _require(doc, "kind", f"column {name!r}")
-    if kind_name not in _KINDS:
-        raise UsageError(f"column {name!r}: unknown kind {kind_name!r}")
-    limits = doc.get("sensor_limits")
-    return Column(
-        name,
-        _KINDS[kind_name],
-        units=doc.get("units"),
-        sensor_limits=tuple(limits) if limits else None,
-    )
-
 
 @dataclass(frozen=True)
-class CsvInput:
-    path: Path
-    schema: ingest.TableSchema
+class CorrelationScreen:
+    enabled: bool = True
+    threshold: float = feats.DEFAULT_CORRELATION_THRESHOLD
 
 
 @dataclass(frozen=True)
 class ScreenSettings:
     drop_missing: bool = True
     sensor_limits: bool = True
-    correlation_enabled: bool = True
-    correlation_threshold: float = feats.DEFAULT_CORRELATION_THRESHOLD
+    correlation: CorrelationScreen = CorrelationScreen()
 
 
 @dataclass(frozen=True)
@@ -95,17 +80,27 @@ class StatsLift:
 
 
 @dataclass(frozen=True)
-class RejectRateLift:
-    rule: lift.RejectionRule
+class CyclicalEncoding:
+    time_column: str
+    holidays: tuple[date, ...] = ()
+
+
+@dataclass(frozen=True)
+class SequentialEncoding:
+    time_column: str
+    epoch: datetime = feats.DEFAULT_EPOCH
+
+
+@dataclass(frozen=True)
+class BatchOrderEncoding:
+    id_column: str
 
 
 @dataclass(frozen=True)
 class EncodingSettings:
-    cyclical_time_column: str | None = None
-    holidays: tuple[date, ...] = ()
-    sequential_time_column: str | None = None
-    epoch: datetime = feats.DEFAULT_EPOCH
-    batch_order_id_column: str | None = None
+    cyclical: CyclicalEncoding | None = None
+    sequential: SequentialEncoding | None = None
+    batch_order: BatchOrderEncoding | None = None
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,8 @@ class TargetDirective:
     A problem target's spec.source_column is the rule's reject-rate column.
     """
 
-    name: str
     spec: targeting.TargetSpec
+    name: str = "target"
     problem: lift.RejectionRule | None = None
     histogram_bins: int = targeting.DEFAULT_HISTOGRAM_BINS
 
@@ -138,15 +133,15 @@ class TrainSettings:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    scenario: synthfab.FabScenario | None = None
-    csv_inputs: tuple[CsvInput, ...] = ()
+    scenario: synthfab.FabScenario | None
+    csv_inputs: tuple[tuple[Path, TableSchema], ...]
+    feature_excludes: tuple[str, ...]
+    output_dir: Path
     screens: ScreenSettings = ScreenSettings()
-    lifts: tuple[StatsLift | RejectRateLift, ...] = ()
+    lifts: tuple[StatsLift | lift.RejectionRule, ...] = ()
     encodings: EncodingSettings = EncodingSettings()
     targets: tuple[TargetDirective, ...] = ()
-    feature_excludes: tuple[str, ...] = ()
     train: TrainSettings = TrainSettings()
-    output_dir: Path = Path("out")
     config_digest: str | None = None
 
     def __post_init__(self) -> None:
@@ -159,106 +154,84 @@ class PipelineConfig:
             raise UsageError(f"target names must be unique, got {names}")
 
 
-def _parse_lift(doc: dict) -> StatsLift | RejectRateLift:
-    method = _require(doc, "method", "lift directive")
-    if method == "stats":
-        return StatsLift(
-            parameter=_require(doc, "parameter", "stats lift"),
-            from_level=_level(doc.get("from_level", "site"), "stats lift"),
-            to_level=_level(doc.get("to_level", "batch"), "stats lift"),
-        )
-    if method == "reject_rate":
-        return RejectRateLift(_parse_rule(doc, "reject_rate lift"))
-    raise UsageError(f"unknown lift method {method!r}; expected 'stats' or 'reject_rate'")
+def _take(fields: dict, *names: str) -> dict:
+    """Remove the named fields that are present from fields and return them."""
+    return {name: fields.pop(name) for name in names if name in fields}
 
 
-def _parse_rule(doc: dict, context: str) -> lift.RejectionRule:
-    try:
-        comparator = lift.Comparator(doc.get("comparator", "above"))
-    except ValueError:
-        raise UsageError(f"{context}: comparator must be 'above' or 'below'") from None
-    return lift.RejectionRule(
-        parameter=_require(doc, "parameter", context),
-        threshold=float(_require(doc, "threshold", context)),
-        min_count=int(doc.get("min_count", 2)),
-        comparator=comparator,
+_RULE = dict(parameter=text, threshold=number, min_count=integer, comparator=choice(lift.Direction))
+_LEVEL = choice(GranularityLevel)
+_BATCH = choice({"batch": GranularityLevel.BATCH})  # lifts join the batch-level table
+_LIFTS = {
+    "stats": instance(StatsLift, "stats lift", parameter=text, from_level=_LEVEL, to_level=_BATCH),
+    "reject_rate": instance(lift.RejectionRule, "reject_rate lift", **_RULE),
+}
+
+
+def _read_lift(doc: Any) -> StatsLift | lift.RejectionRule:
+    read, fields = read_tagged(doc, "lift", "method", choice(_LIFTS))
+    return read(fields)
+
+
+_COLUMN = instance(
+    Column, "column", name=text, kind=choice(ColumnKind), units=text, sensor_limits=array(number)
+)
+_TABLE_SCHEMA = instance(
+    TableSchema, "csv input", level=_LEVEL, key_columns=array(text), columns=array(_COLUMN),
+    missing_tokens=array(text),
+)
+
+
+def _read_csv_input(base_dir: Path, doc: Any) -> tuple[Path, TableSchema]:
+    path, fields = read_tagged(doc, "csv input", "path", text)
+    return base_dir / path, _TABLE_SCHEMA(fields)
+
+
+_CORRELATION = instance(CorrelationScreen, "screens.correlation", enabled=flag, threshold=number)
+_SCREENS = instance(
+    ScreenSettings, "screens", drop_missing=flag, sensor_limits=flag, correlation=_CORRELATION
+)
+_CYCLICAL = instance(
+    CyclicalEncoding, "encodings.cyclical", time_column=text, holidays=array(date.fromisoformat)
+)
+_SEQUENTIAL = instance(
+    SequentialEncoding, "encodings.sequential", time_column=text, epoch=parse_timestamp
+)
+_BATCH_ORDER = instance(BatchOrderEncoding, "encodings.batch_order", id_column=text)
+_ENCODINGS = instance(
+    EncodingSettings, "encodings",
+    cyclical=_CYCLICAL, sequential=_SEQUENTIAL, batch_order=_BATCH_ORDER,
+)
+
+
+_PROBLEM = instance(lift.RejectionRule, "target problem", **_RULE)
+
+
+def _read_target(doc: Any) -> TargetDirective:
+    fields = read_fields(
+        doc, "target", name=text, source_column=text, problem=_PROBLEM,
+        strategy=choice(targeting.ThresholdStrategy), threshold=number, U=number, bins=integer,
+        direction=choice(lift.Direction), grey_half_width=number, histogram_bins=integer,
     )
-
-
-def _parse_timestamp_field(doc: dict, key: str, context: str, default: datetime) -> datetime:
-    if key not in doc:
-        return default
-    try:
-        return ingest.parse_timestamp(doc[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"{context}: {key} must be 'YYYY-MM-DD HH:MM'") from None
-
-
-def _parse_encodings(doc: dict) -> EncodingSettings:
-    cyclical = doc.get("cyclical")
-    sequential = doc.get("sequential")
-    batch_order = doc.get("batch_order")
-    holidays: tuple[date, ...] = ()
-    if cyclical and "holidays" in cyclical:
-        try:
-            holidays = tuple(date.fromisoformat(d) for d in cyclical["holidays"])
-        except ValueError:
-            raise UsageError("encodings.cyclical.holidays must be YYYY-MM-DD dates") from None
-    return EncodingSettings(
-        cyclical_time_column=_require(cyclical, "time_column", "encodings.cyclical") if cyclical else None,
-        holidays=holidays,
-        sequential_time_column=_require(sequential, "time_column", "encodings.sequential") if sequential else None,
-        epoch=_parse_timestamp_field(sequential or {}, "epoch", "encodings.sequential", feats.DEFAULT_EPOCH),
-        batch_order_id_column=_require(batch_order, "id_column", "encodings.batch_order") if batch_order else None,
-    )
-
-
-def _parse_target(doc: dict, index: int) -> TargetDirective:
-    context = f"target #{index + 1}"
-    name = doc.get("name", "target")
-    source_column = doc.get("source_column")
-    problem_doc = doc.get("problem")
-    if (source_column is None) == (problem_doc is None):
+    directive = _take(fields, "name", "problem", "histogram_bins")
+    problem = directive.get("problem")
+    if ("source_column" in fields) == (problem is not None):
+        name = directive.get("name", TargetDirective.name)
         raise UsageError(f"target {name!r} needs exactly one of source_column or problem")
-    problem = None if problem_doc is None else _parse_rule(problem_doc, f"{context}.problem")
-    strategy_name = doc.get("strategy", "median")
-    try:
-        strategy = targeting.ThresholdStrategy(strategy_name)
-    except ValueError:
-        raise UsageError(f"{context}: unknown strategy {strategy_name!r}") from None
-    try:
-        direction = targeting.Direction(doc.get("direction", "below"))
-    except ValueError:
-        raise UsageError(f"{context}: direction must be 'below' or 'above'") from None
-    threshold = doc.get("threshold", doc.get("U"))
-    spec = targeting.TargetSpec(
-        source_column if problem is None else problem.reject_rate_column(),
-        strategy,
-        threshold=float(threshold) if threshold is not None else None,
-        bins=int(doc["bins"]) if "bins" in doc else None,
-        direction=direction,
-        grey_half_width=float(doc.get("grey_half_width", 0.0)),
-    )
-    return TargetDirective(
-        name,
-        spec,
-        problem,
-        histogram_bins=int(doc.get("histogram_bins", targeting.DEFAULT_HISTOGRAM_BINS)),
-    )
+    if problem is not None:
+        fields["source_column"] = problem.reject_rate_column()
+    if "U" in fields:
+        fields.setdefault("threshold", fields.pop("U"))
+    return TargetDirective(targeting.TargetSpec(**fields), **directive)
 
 
-def _parse_csv_input(doc: dict, base_dir: Path) -> CsvInput:
-    level = _level(_require(doc, "level", "csv input"), "csv input")
-    key_columns = tuple(_require(doc, "key_columns", "csv input"))
-    columns = tuple(_column_from_dict(c) for c in _require(doc, "columns", "csv input"))
-    tokens = doc.get("missing_tokens")
-    schema = ingest.TableSchema(
-        level,
-        key_columns,
-        columns,
-        frozenset(tokens) if tokens is not None else ingest.DEFAULT_MISSING_TOKENS,
+def _read_train(doc: Any) -> TrainSettings:
+    fields = read_fields(
+        doc, "train", max_depth=integer, min_leaf=integer, min_gain=number,
+        test_fraction=number, split_seed=integer,
     )
-    return CsvInput(base_dir / _require(doc, "path", "csv input"), schema)
+    split = _take(fields, "test_fraction", "split_seed")
+    return TrainSettings(TrainConfig(**fields), **split)
 
 
 def config_from_dict(doc: dict, base_dir: str | Path = ".") -> PipelineConfig:
@@ -267,82 +240,35 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> PipelineConfig:
     Relative paths (CSV inputs, output dir) resolve against base_dir,
     normally the directory containing the config file.
     """
-    if not isinstance(doc, dict):
-        raise UsageError("config must be a JSON object")
     base_dir = Path(base_dir)
-    known = {"input", "screens", "lifts", "encodings", "targets", "target", "features", "train", "outputs"}
-    unknown = set(doc) - known
-    if unknown:
-        raise UsageError(f"unknown config fields: {sorted(unknown)}")
-
-    input_doc = _require(doc, "input", "config")
-    scenario = None
-    csv_inputs: tuple[CsvInput, ...] = ()
-    if "scenario" in input_doc and "csv" in input_doc:
-        raise UsageError("config input must declare scenario or csv, not both")
-    if "scenario" in input_doc:
-        scenario = synthfab.scenario_from_dict(input_doc["scenario"])
-    elif "csv" in input_doc:
-        csv_inputs = tuple(_parse_csv_input(d, base_dir) for d in input_doc["csv"])
-    else:
-        raise UsageError("config input needs field 'scenario' or 'csv'")
-
-    screens_doc = doc.get("screens", {})
-    correlation_doc = screens_doc.get("correlation", {})
-    screens = ScreenSettings(
-        drop_missing=bool(screens_doc.get("drop_missing", True)),
-        sensor_limits=bool(screens_doc.get("sensor_limits", True)),
-        correlation_enabled=bool(correlation_doc.get("enabled", True)),
-        correlation_threshold=float(
-            correlation_doc.get("threshold", feats.DEFAULT_CORRELATION_THRESHOLD)
-        ),
+    csv = array(lambda c: _read_csv_input(base_dir, c))
+    fields = read_fields(
+        doc, "config",
+        input=lambda d: read_fields(d, "input", scenario=synthfab.scenario_from_dict, csv=csv),
+        screens=_SCREENS, lifts=array(_read_lift), encodings=_ENCODINGS,
+        targets=array(_read_target), target=_read_target, train=_read_train,
+        features=lambda d: read_fields(d, "features", exclude=array(text)),
+        outputs=lambda d: read_fields(d, "outputs", dir=text),
     )
-
-    targets_doc = doc.get("targets")
-    if targets_doc is None and "target" in doc:
-        targets_doc = [doc["target"]]
-    if not targets_doc:
-        raise UsageError("config needs at least one target (field 'targets')")
-
-    train_doc = doc.get("train", {})
-    train_settings = TrainSettings(
-        config=TrainConfig(
-            max_depth=int(train_doc.get("max_depth", 5)),
-            min_leaf=int(train_doc.get("min_leaf", 5)),
-            min_gain=float(train_doc.get("min_gain", 1e-6)),
-        ),
-        test_fraction=float(train_doc.get("test_fraction", 0.0)),
-        split_seed=int(train_doc.get("split_seed", 0)),
-    )
-
+    if "target" in fields:  # the single-target alias
+        fields["targets"] = fields.get("targets", ()) + (fields.pop("target"),)
+    inputs = fields.pop("input", {})
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
     ).hexdigest()
-
     return PipelineConfig(
-        scenario=scenario,
-        csv_inputs=csv_inputs,
-        screens=screens,
-        lifts=tuple(_parse_lift(d) for d in doc.get("lifts", [])),
-        encodings=_parse_encodings(doc.get("encodings", {})),
-        targets=tuple(_parse_target(d, i) for i, d in enumerate(targets_doc)),
-        feature_excludes=tuple(doc.get("features", {}).get("exclude", [])),
-        train=train_settings,
-        output_dir=base_dir / doc.get("outputs", {}).get("dir", "out"),
+        scenario=inputs.get("scenario"),
+        csv_inputs=inputs.get("csv", ()),
+        feature_excludes=fields.pop("features", {}).get("exclude", ()),
+        output_dir=base_dir / fields.pop("outputs", {}).get("dir", "out"),
         config_digest=digest,
+        **fields,
     )
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
-    try:
-        with path.open(encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise UsageError(f"config file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
-    return config_from_dict(doc, path.parent)
+    return config_from_dict(read_json(path, "config"), path.parent)
 
 
 @dataclass
@@ -400,20 +326,19 @@ def _screen_dataset(
 
 
 def _apply_lifts(
-    dataset: HierarchicalDataset, analysis: Table, lifts: Sequence[StatsLift | RejectRateLift]
+    dataset: HierarchicalDataset, analysis: Table, lifts: Sequence[StatsLift | lift.RejectionRule]
 ) -> tuple[Table, list[dict]]:
     meta = []
     for directive in lifts:
         if isinstance(directive, StatsLift):
-            if directive.to_level is not GranularityLevel.BATCH:
-                raise UsageError("pipeline lifts must target the batch level")
+            method = "stats"
             lifted = lift.lift_stats(
                 dataset, directive.parameter, directive.from_level, directive.to_level
             )
-            meta.append({"method": "stats", "columns": list(lifted.column_names)})
         else:
-            lifted = lift.lift_reject_rate(dataset, directive.rule)
-            meta.append({"method": "reject_rate", "columns": list(lifted.column_names)})
+            method = "reject_rate"
+            lifted = lift.lift_reject_rate(dataset, directive)
+        meta.append({"method": method, "columns": list(lifted.column_names)})
         analysis = join_tables(analysis, lifted)
     return analysis, meta
 
@@ -422,17 +347,19 @@ def _apply_encodings(
     analysis: Table, settings: EncodingSettings
 ) -> tuple[Table, list[feats.TimeEncodingSpec], dict]:
     meta: dict[str, list[str]] = {}
-    if settings.cyclical_time_column:
-        analysis = feats.encode_cyclical(analysis, settings.cyclical_time_column, settings.holidays)
+    if settings.cyclical:
+        analysis = feats.encode_cyclical(
+            analysis, settings.cyclical.time_column, settings.cyclical.holidays
+        )
         meta["cyclical"] = list(feats.CYCLICAL_COLUMNS)
     specs: list[feats.TimeEncodingSpec] = []
-    if settings.sequential_time_column:
-        spec = feats.TimeEncodingSpec(feats.TimeMode.SEQUENTIAL, epoch=settings.epoch)
-        analysis = feats.encode_sequential(analysis, settings.sequential_time_column, spec)
+    if settings.sequential:
+        spec = feats.TimeEncodingSpec(feats.TimeMode.SEQUENTIAL, epoch=settings.sequential.epoch)
+        analysis = feats.encode_sequential(analysis, settings.sequential.time_column, spec)
         meta["sequential"] = [feats.SEQUENTIAL_COLUMN]
         specs.append(spec)
-    if settings.batch_order_id_column:
-        analysis = feats.order_from_batch_id(analysis, settings.batch_order_id_column)
+    if settings.batch_order:
+        analysis = feats.order_from_batch_id(analysis, settings.batch_order.id_column)
         meta["batch_order"] = [feats.BATCH_ORDER_COLUMN]
     return analysis, specs, meta
 
@@ -440,9 +367,9 @@ def _apply_encodings(
 def _time_column(settings: EncodingSettings, analysis: Table) -> str | None:
     """Column for yield-over-time series: the encoded time column when one
     is configured, else the first timestamp column of the analysis table."""
-    configured = settings.cyclical_time_column or settings.sequential_time_column
+    configured = settings.cyclical or settings.sequential
     if configured:
-        return configured
+        return configured.time_column
     for column in analysis.columns:
         if column.kind is ColumnKind.TIMESTAMP:
             return column.name
@@ -461,14 +388,7 @@ def _holdout_mask(n: int, fraction: float, seed: int) -> list[bool]:
 def _eval_to_dict(report: EvalReport | None) -> dict | None:
     if report is None:
         return None
-    return {
-        "tp": report.tp,
-        "fp": report.fp,
-        "tn": report.tn,
-        "fn": report.fn,
-        "precision": report.precision,
-        "recall": report.recall,
-    }
+    return {**asdict(report), "precision": report.precision, "recall": report.recall}
 
 
 def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult:
@@ -482,7 +402,7 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
         dataset = synthfab.generate(config.scenario)
         input_meta: dict[str, Any] = {"source": "scenario", "seed": config.scenario.seed}
     else:
-        dataset = ingest.load_dataset([(c.path, c.schema) for c in config.csv_inputs])
+        dataset = ingest.load_dataset(list(config.csv_inputs))
         input_meta = {"source": "csv", "seed": None}
     if GranularityLevel.BATCH not in dataset.tables:
         raise UsageError("pipeline analyzes at the batch level; input has no batch table")
@@ -520,9 +440,9 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
     numeric_candidates = [
         c for c in feature_table.columns if c.kind is ColumnKind.NUMERIC
     ]
-    if config.screens.correlation_enabled and len(numeric_candidates) >= 2:
+    if config.screens.correlation.enabled and len(numeric_candidates) >= 2:
         correlation = feats.correlation_table(
-            feature_table, config.screens.correlation_threshold
+            feature_table, config.screens.correlation.threshold
         )
         feats.write_correlation_csv(correlation, output_dir / "correlation.csv")
         feature_table = feats.flag_correlated(correlation, feature_table)
@@ -535,7 +455,7 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
 
     # --- targets
     time_column = _time_column(config.encodings, analysis)
-    lifted_rules = {d.rule for d in config.lifts if isinstance(d, RejectRateLift)}
+    lifted_rules = {d for d in config.lifts if isinstance(d, lift.RejectionRule)}
     target_results: dict[str, TargetResult] = {}
     target_meta = []
     for directive in config.targets:
@@ -582,7 +502,7 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
         "correlation": correlation_meta,
         "targets": target_meta,
     }
-    _write_json(manifest, output_dir / "manifest.json")
+    write_json(manifest, output_dir / "manifest.json")
 
     return RunResult(
         manifest=manifest,
@@ -657,7 +577,7 @@ def _run_target(
     (output_dir / rules_name).write_text(report_text, encoding="utf-8")
     artifacts["rules"] = rules_name
     tree_name = f"{directive.name}_tree.json"
-    _write_json(tree.to_dict(), output_dir / tree_name)
+    write_json(tree.to_dict(), output_dir / tree_name)
     artifacts["tree"] = tree_name
 
     return TargetResult(
@@ -670,10 +590,4 @@ def _run_target(
         report_text,
         evaluation,
         artifacts,
-    )
-
-
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

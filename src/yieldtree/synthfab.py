@@ -17,8 +17,18 @@ from typing import Any, Union
 
 from .errors import UsageError
 from .features import DEFAULT_EPOCH
-from .ingest import parse_timestamp
-from .lift import Comparator, RejectionRule
+from .ingest import (
+    array,
+    choice,
+    format_timestamp,
+    instance,
+    integer,
+    number,
+    parse_timestamp,
+    read_tagged,
+    text,
+)
+from .lift import RejectionRule
 from .model import (
     Column,
     ColumnKind,
@@ -155,12 +165,7 @@ class FabScenario:
 
     def rejection_rule(self) -> RejectionRule:
         """The k-of-n site rule wafer rejection is planted against."""
-        return RejectionRule(
-            self.site_parameter,
-            self.site_threshold,
-            self.rule_min_count,
-            Comparator.ABOVE,
-        )
+        return RejectionRule(self.site_parameter, self.site_threshold, self.rule_min_count)
 
     def batch_start(self, index: int) -> datetime:
         return self.start_time + timedelta(minutes=index * self.batch_interval_minutes)
@@ -346,85 +351,52 @@ def planted_labels(scenario: FabScenario, dataset: HierarchicalDataset) -> list[
     return labels
 
 
-_EFFECT_TYPES = {
-    "machine_defect": MachineDefect,
-    "supplier_impurity": SupplierImpurity,
-    "shift_effect": ShiftEffect,
-    "step_change": StepChange,
-    "cyclic_effect": CyclicEffect,
+# effect type name -> (class, a reader per field)
+_EFFECTS = {
+    "machine_defect": (
+        MachineDefect, dict(n_machines=integer, bad_machine_id=integer, delta_p=number)
+    ),
+    "supplier_impurity": (
+        SupplierImpurity, dict(n_suppliers=integer, bad_supplier_id=integer, delta_p=number)
+    ),
+    "shift_effect": (
+        ShiftEffect, dict(night_start_hour=integer, night_end_hour=integer, delta_p=number)
+    ),
+    "step_change": (StepChange, dict(at_time=parse_timestamp, delta_p=number)),
+    "cyclic_effect": (CyclicEffect, dict(period_hours=number, delta_p=number)),
 }
 
 
-def _effect_from_dict(doc: dict) -> PlantedEffect:
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise UsageError("each effect needs a 'type' field")
-    kind = doc["type"]
-    if kind not in _EFFECT_TYPES:
-        raise UsageError(
-            f"unknown effect type {kind!r}; expected one of {sorted(_EFFECT_TYPES)}"
-        )
-    fields = {k: v for k, v in doc.items() if k != "type"}
-    if kind == "step_change":
-        try:
-            fields["at_time"] = parse_timestamp(fields.get("at_time", ""))
-        except ValueError:
-            raise UsageError("step_change.at_time must be 'YYYY-MM-DD HH:MM'") from None
-    try:
-        return _EFFECT_TYPES[kind](**fields)
-    except TypeError as exc:
-        raise UsageError(f"bad {kind} effect: {exc}") from None
+def _effect_from_dict(doc: Any) -> PlantedEffect:
+    (effect, readers), fields = read_tagged(doc, "effect", "type", choice(_EFFECTS))
+    return instance(effect, f"{doc['type']} effect", **readers)(fields)
 
 
-def scenario_from_dict(doc: dict) -> FabScenario:
+_SCENARIO = instance(
+    FabScenario, "scenario", seed=integer, n_batches=integer, wafers_per_batch=integer,
+    sites_per_wafer=integer, ics_per_wafer=integer, base_reject_prob=number,
+    start_time=parse_timestamp, batch_interval_minutes=integer, site_parameter=text,
+    site_threshold=number, rule_min_count=integer, effects=array(_effect_from_dict),
+)
+
+
+def scenario_from_dict(doc: Any) -> FabScenario:
     """Parse a scenario from its JSON form (timestamps as format strings)."""
-    if not isinstance(doc, dict):
-        raise UsageError("scenario must be a JSON object")
-    known = {f for f in FabScenario.__dataclass_fields__}
-    unknown = set(doc) - known
-    if unknown:
-        raise UsageError(f"unknown scenario fields: {sorted(unknown)}")
-    fields = dict(doc)
-    if "start_time" in fields:
-        try:
-            fields["start_time"] = parse_timestamp(fields["start_time"])
-        except (TypeError, ValueError):
-            raise UsageError("start_time must be 'YYYY-MM-DD HH:MM'") from None
-    if "effects" in fields:
-        fields["effects"] = tuple(_effect_from_dict(e) for e in fields["effects"])
-    try:
-        return FabScenario(**fields)
-    except TypeError as exc:
-        raise UsageError(f"bad scenario: {exc}") from None
+    return _SCENARIO(doc)
 
 
 def scenario_to_dict(scenario: FabScenario) -> dict:
     """Inverse of scenario_from_dict, for echoing scenarios to disk."""
-    from .ingest import format_timestamp
+    names = {cls: name for name, (cls, _) in _EFFECTS.items()}
+    doc = _json_fields(scenario)
+    doc["effects"] = [
+        {"type": names[type(effect)], **_json_fields(effect)} for effect in scenario.effects
+    ]
+    return doc
 
-    effects = []
-    for effect in scenario.effects:
-        doc: dict[str, Any] = {"type": _type_name(effect)}
-        for name, value in vars(effect).items():
-            doc[name] = format_timestamp(value) if isinstance(value, datetime) else value
-        effects.append(doc)
+
+def _json_fields(obj: Any) -> dict[str, Any]:
     return {
-        "seed": scenario.seed,
-        "n_batches": scenario.n_batches,
-        "wafers_per_batch": scenario.wafers_per_batch,
-        "sites_per_wafer": scenario.sites_per_wafer,
-        "ics_per_wafer": scenario.ics_per_wafer,
-        "base_reject_prob": scenario.base_reject_prob,
-        "start_time": format_timestamp(scenario.start_time),
-        "batch_interval_minutes": scenario.batch_interval_minutes,
-        "site_parameter": scenario.site_parameter,
-        "site_threshold": scenario.site_threshold,
-        "rule_min_count": scenario.rule_min_count,
-        "effects": effects,
+        name: format_timestamp(value) if isinstance(value, datetime) else value
+        for name, value in vars(obj).items()
     }
-
-
-def _type_name(effect: PlantedEffect) -> str:
-    for name, cls in _EFFECT_TYPES.items():
-        if isinstance(effect, cls):
-            return name
-    raise UsageError(f"unregistered effect type {type(effect).__name__}")

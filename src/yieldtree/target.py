@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError, EmptyDatasetError, NoValleyError, UsageError
-from .lift import RejectionRule, lift_reject_rate
+from .lift import Direction, RejectionRule, lift_reject_rate
 from .model import (
     GranularityLevel,
     HierarchicalDataset,
@@ -26,18 +26,6 @@ from .model import (
 )
 
 DEFAULT_HISTOGRAM_BINS = 10
-
-
-class Direction(str, Enum):
-    """Side of the threshold on which a value is labeled class 1."""
-
-    BELOW = "below"
-    ABOVE = "above"
-
-    def is_target(self, value: float, t: float) -> bool:
-        if self is Direction.BELOW:
-            return value < t
-        return value > t
 
 
 class ThresholdStrategy(str, Enum):
@@ -51,7 +39,7 @@ class TargetSpec:
     """Recipe for turning a continuous source column into a binary class."""
 
     source_column: str
-    strategy: ThresholdStrategy
+    strategy: ThresholdStrategy = ThresholdStrategy.MEDIAN
     threshold: float | None = None  # fixed strategy
     bins: int | None = None  # valley strategy
     direction: Direction = Direction.BELOW
@@ -85,7 +73,7 @@ def label_by_threshold(
     for i, value in enumerate(values):
         if is_missing(value):
             raise DataError(f"target value at row {i} is missing; targets must be complete")
-        labels.append(1 if direction.is_target(value, t) else 0)
+        labels.append(1 if direction.beyond(value, t) else 0)
     return labels
 
 

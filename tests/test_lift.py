@@ -7,7 +7,7 @@ from conftest import BATCH, SITE, WAFER, batch_key, build_hierarchy, random_hier
 from oracles import reject_rate_oracle, stats_oracle
 from yieldtree.errors import DataError, UsageError
 from yieldtree.lift import (
-    Comparator,
+    Direction,
     RejectionRule,
     broadcast_down,
     lift_reject_rate,
@@ -17,6 +17,7 @@ from yieldtree.model import (
     MISSING,
     Column,
     ColumnKind,
+    EntityKey,
     Row,
     Table,
     group_by_ancestor,
@@ -116,9 +117,26 @@ class TestLiftRejectRate:
 
     def test_below_comparator(self):
         dataset = build_hierarchy({"b1": {"w1": [1.0, 1.0, 9.0], "w2": [9.0, 9.0, 9.0]}})
-        rule = RejectionRule("x", 5.0, 2, Comparator.BELOW)
+        rule = RejectionRule("x", 5.0, 2, Direction.BELOW)
         table = lift_reject_rate(dataset, rule)
         assert table.rows[0].cells[0] == 50.0
+
+    def test_wafer_without_values_is_left_out_of_the_rate(self):
+        dataset = build_hierarchy({"b1": {"w1": [11.0, 12.0], "w2": [MISSING]}})
+        table = lift_reject_rate(dataset, RejectionRule("x", 10.0, 2))
+        assert table.rows[0].cells[0] == 100.0
+
+    def test_wafer_without_sites_is_left_out_of_the_rate(self):
+        dataset = build_hierarchy({"b1": {"w1": [1.0, 2.0], "w2": [11.0, 12.0]}})
+        lone = Row(EntityKey(WAFER, "b1", "w3"), ())
+        wafer = Table(WAFER, (), dataset.table(WAFER).rows + (lone,))
+        table = lift_reject_rate(dataset.with_table(wafer), RejectionRule("x", 10.0, 2))
+        assert table.rows[0].cells[0] == 50.0
+
+    def test_batch_without_measured_wafers_is_error(self):
+        dataset = build_hierarchy({"b1": {"w1": [11.0, 12.0]}, "b2": {"w1": [MISSING, MISSING]}})
+        with pytest.raises(DataError, match="b2"):
+            lift_reject_rate(dataset, RejectionRule("x", 10.0, 2))
 
     def test_batch_with_zero_wafers_is_error(self):
         dataset = build_hierarchy({"b1": {"w1": [1.0]}})

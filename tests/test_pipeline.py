@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,9 @@ from test_golden import X_RULE, csv_config, write_shuffled_csvs
 from yieldtree.cli import main
 from yieldtree.errors import UsageError
 from yieldtree.pipeline import config_from_dict, run_pipeline
+from yieldtree.synthfab import scenario_from_dict
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def base_config(out_dir, n_batches=40, seed=3):
@@ -36,6 +41,74 @@ BAD_TARGETS = [
     ({"name": "no/slash", "source_column": "yield"}, "file-name-safe"),
     ({"name": "", "source_column": "yield"}, "file-name-safe"),
 ]
+
+
+# Edits of base_config() that must fail as a usage error naming the field:
+# wrong JSON types, numbers a float cannot hold, misspelled fields and names
+# outside an enum. `"max_depth": null` is not among them: null reads as absent.
+BAD_FIELDS = [
+    pytest.param(lambda d: d["targets"][0].update(strategy="fixed", threshold="ninety"),
+                 "threshold", id="threshold-not-a-number"),
+    pytest.param(lambda d: d["lifts"][0].update(threshold=10 ** 400), "threshold",
+                 id="number-beyond-float-range"),
+    pytest.param(lambda d: d["train"].update(min_gain=float("nan")), "min_gain", id="nan"),
+    pytest.param(lambda d: d["input"]["scenario"].update(n_batches=4.5),
+                 "n_batches", id="n_batches-not-an-integer"),
+    pytest.param(lambda d: d["features"].update(exclude="yield"),
+                 "exclude", id="exclude-not-an-array"),
+    pytest.param(lambda d: d.update(screens={"drop_missing": "false"}),
+                 "drop_missing", id="drop_missing-not-a-flag"),
+    pytest.param(lambda d: d["train"].update(max_dept=3), "max_dept", id="unknown-train-field"),
+    pytest.param(lambda d: d["encodings"].update(cyclic={"time_column": "timestamp"}),
+                 "cyclic", id="unknown-encoding"),
+    pytest.param(lambda d: d["lifts"][0].update(treshold=10.0), "treshold", id="unknown-lift-field"),
+    pytest.param(lambda d: d["lifts"][0].update(min_count=2.7), "min_count", id="min_count-not-an-integer"),
+    pytest.param(lambda d: d["train"].update(min_leaf=True), "min_leaf", id="true-is-not-an-integer"),
+    pytest.param(lambda d: d["targets"][0].update(direction="sideways"), "direction", id="unknown-direction"),
+    pytest.param(lambda d: d["lifts"].append({"method": "stats", "parameter": "x", "to_level": "wafer"}),
+                 "to_level", id="lift-below-the-batch-level"),
+]
+
+# One unknown field in every object of the scenario config and the CSV config.
+SCENARIO_OBJECTS = [
+    lambda d: d["input"],
+    lambda d: d["input"]["scenario"],
+    lambda d: d["input"]["scenario"]["effects"][0],
+    lambda d: d["screens"],
+    lambda d: d["screens"]["correlation"],
+    lambda d: d["lifts"][0],
+    lambda d: d["lifts"][1],
+    lambda d: d["encodings"],
+    lambda d: d["encodings"]["cyclical"],
+    lambda d: d["encodings"]["sequential"],
+    lambda d: d["encodings"]["batch_order"],
+    lambda d: d["targets"][0],
+    lambda d: d["targets"][1]["problem"],
+    lambda d: d["features"],
+    lambda d: d["train"],
+    lambda d: d["outputs"],
+]
+CSV_OBJECTS = [
+    lambda d: d["input"]["csv"][0],
+    lambda d: d["input"]["csv"][0]["columns"][0],
+]
+
+
+def every_object_config(out_dir):
+    doc = base_config(out_dir)
+    doc["input"]["scenario"]["effects"][0] = {"type": "step_change", "at_time": "1990-01-02 00:00",
+                                              "delta_p": 0.3}
+    doc["screens"] = {"drop_missing": True, "correlation": {"enabled": True}}
+    doc["lifts"].insert(0, {"method": "stats", "parameter": "x"})
+    doc["encodings"]["batch_order"] = {"id_column": "batch_id"}
+    doc["targets"].append({"name": "x_problem", "problem": X_RULE, "U": 20.0})
+    return copy.deepcopy(doc)  # the edits must not reach the shared X_RULE
+
+
+def readme_jsonc_blocks():
+    """The README's annotated JSON examples, with their // comments removed."""
+    blocks = re.findall(r"```jsonc\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [json.loads(re.sub(r"//.*", "", block)) for block in blocks]
 
 
 def run_config(doc, base="."):
@@ -91,6 +164,91 @@ class TestConfigValidation:
         problem, source = config_from_dict(doc, tmp_path).targets
         assert problem.spec.source_column == "x_reject_pct" and problem.problem is not None
         assert source.spec.source_column == "yield" and source.problem is None
+
+
+class TestFieldReader:
+    @pytest.mark.parametrize("edit, field", BAD_FIELDS)
+    def test_bad_field_is_usage_error_naming_it(self, tmp_path, edit, field):
+        doc = base_config(tmp_path / "out")
+        edit(doc)
+        with pytest.raises(UsageError, match=field):
+            config_from_dict(doc, tmp_path)
+
+    def test_bad_scenario_field_is_usage_error(self):
+        with pytest.raises(UsageError, match="n_batches"):
+            scenario_from_dict({"seed": 1, "n_batches": 4.5})
+
+    @pytest.mark.parametrize("where", range(len(SCENARIO_OBJECTS)))
+    def test_unknown_field_rejected_in_every_scenario_config_object(self, tmp_path, where):
+        doc = every_object_config(tmp_path / "out")
+        config_from_dict(doc, tmp_path)  # valid before the edit
+        SCENARIO_OBJECTS[where](doc)["surprise_field"] = 1
+        with pytest.raises(UsageError, match="surprise_field"):
+            config_from_dict(doc, tmp_path)
+
+    @pytest.mark.parametrize("where", range(len(CSV_OBJECTS)))
+    def test_unknown_field_rejected_in_every_csv_config_object(self, tmp_path, where):
+        doc = copy.deepcopy(csv_config())
+        config_from_dict(doc, tmp_path)  # valid before the edit
+        CSV_OBJECTS[where](doc)["surprise_field"] = 1
+        with pytest.raises(UsageError, match="surprise_field"):
+            config_from_dict(doc, tmp_path)
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"method": "stats"}, "parameter"),
+        ({"method": "reject_rate", "parameter": "x"}, "threshold"),
+        ({"parameter": "x", "threshold": 10.0}, "method"),
+    ])
+    def test_absent_required_lift_field_is_named(self, tmp_path, obj, field):
+        doc = base_config(tmp_path / "out")
+        doc["lifts"] = [obj]
+        with pytest.raises(UsageError, match=f"needs field '{field}'"):
+            config_from_dict(doc, tmp_path)
+
+    def test_absent_required_fields_are_named(self, tmp_path):
+        doc = base_config(tmp_path / "out")
+        doc["encodings"]["cyclical"] = {"holidays": ["1990-12-25"]}
+        with pytest.raises(UsageError, match="encodings.cyclical needs field 'time_column'"):
+            config_from_dict(doc, tmp_path)
+        doc = copy.deepcopy(csv_config())
+        del doc["input"]["csv"][1]["path"]
+        with pytest.raises(UsageError, match="csv input needs field 'path'"):
+            config_from_dict(doc, tmp_path)
+        with pytest.raises(UsageError, match="needs field 'delta_p'"):
+            scenario_from_dict({"seed": 1, "n_batches": 2, "effects": [{"type": "cyclic_effect",
+                                                                        "period_hours": 24}]})
+
+    def test_null_counts_as_absent_in_every_object(self, tmp_path):
+        doc = base_config(tmp_path / "out")
+        doc["train"]["max_depth"] = None
+        doc["lifts"][0]["min_count"] = None
+        doc["targets"][0]["direction"] = None
+        doc["input"]["scenario"]["wafers_per_batch"] = None
+        doc["screens"] = {"drop_missing": None, "correlation": None}
+        config = config_from_dict(doc, tmp_path)
+        assert config.train.config.max_depth == 5
+        assert config.lifts[0].min_count == 2
+        assert config.targets[0].spec.direction.value == "below"
+        assert config.scenario.wafers_per_batch == 24
+        assert config.screens.drop_missing and config.screens.correlation.enabled
+
+    def test_numbers_read_as_floats_and_defaults_come_from_the_dataclasses(self, tmp_path):
+        doc = base_config(tmp_path / "out")
+        doc["targets"] = [{"name": "t", "source_column": "yield", "strategy": "fixed", "U": 90}]
+        doc["train"] = {}
+        config = config_from_dict(doc, tmp_path)
+        assert config.targets[0].spec.threshold == 90.0
+        assert isinstance(config.targets[0].spec.threshold, float)
+        assert config.train.config.min_gain == 1e-6
+        assert config.output_dir == tmp_path / "out"
+
+    def test_readme_examples_parse(self, tmp_path):
+        blocks = readme_jsonc_blocks()
+        assert len(blocks) == 2
+        scenario, config = blocks
+        assert scenario_from_dict(scenario).n_batches == 200
+        parsed = config_from_dict(config, tmp_path)
+        assert [t.name for t in parsed.targets] == ["low_yield", "x_problem"]
 
 
 class TestHappyPath:
@@ -302,6 +460,24 @@ class TestExitCodes:
         path = self.write_config(tmp_path, doc)
         assert main(["analyze", "--config", path]) == 3
         assert "grey region (-2.0, 2.0) deleted every class-0 row" in capsys.readouterr().err
+
+    def test_config_number_that_does_not_parse_exits_one(self, tmp_path, capsys):
+        doc = base_config("out")
+        doc["targets"][0].update(strategy="fixed", threshold="ninety")
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "threshold 'ninety'" in err
+        assert "Traceback" not in err
+
+    def test_scenario_count_that_is_not_an_integer_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"seed": 1, "n_batches": 4.5}), encoding="utf-8")
+        assert main(["generate", "--scenario", str(path), "--out", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_batches 4.5" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "data").exists()
 
     def test_bad_cli_arguments_exit_one(self, capsys):
         assert main(["analyze"]) == 1
