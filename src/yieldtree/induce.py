@@ -4,6 +4,15 @@ Greedy recursive partitioning on Gini impurity decrease. Candidate
 enumeration and tie-breaking are fully ordered (schema column order, then
 ascending threshold / lexicographic category), so identical input yields a
 byte-identical tree no matter how the search is scheduled.
+
+The split search follows SLIQ (Mehta, Agrawal & Rissanen, 1996) and SPRINT
+(Shafer, Agrawal & Mehta, 1996): `train` sorts the row indices once per
+numeric column, with a stable sort on the value, and each split partitions
+every sorted list into the two children in order. A stable partition of a
+stable sort of range(n) is the stable sort of the child's rows, which are in
+ascending index order, so rows with equal values still scan in row order and
+candidate order, tie-breaks and every float expression are those of sorting
+each node's rows afresh.
 """
 
 from __future__ import annotations
@@ -173,47 +182,45 @@ def _best_split(
     columns: Sequence[Column],
     column_values: Mapping[str, list[Any]],
     rows: Sequence[int],
+    sorted_rows: Mapping[str, list[int]],
     labels: Sequence[int],
     min_leaf: int,
 ) -> tuple[float, SplitTest] | None:
     """Highest-gain candidate in canonical order; ties keep the first.
 
     Candidate order is schema column order, then ascending threshold for
-    numeric columns and lexicographic category for categorical ones.
+    numeric columns and lexicographic category for categorical ones. A
+    numeric column is scanned through sorted_rows, the node's rows in
+    ascending value order with ties in ascending row index.
     """
     n = len(rows)
     n1 = sum(labels[i] for i in rows)
     parent = _gini(n - n1, n1)
     floor = max(min_leaf, 1)  # an empty child is never a meaningful split
+    last = n - floor
 
-    best: tuple[float, SplitTest] | None = None
-
-    def consider(gain: float, test: SplitTest) -> None:
-        nonlocal best
-        if best is None or gain > best[0]:
-            best = (gain, test)
+    # (gain, column, threshold | category); the SplitTest is built once, at the end
+    best: tuple[float, Column | None, Any] = (-math.inf, None, None)
 
     for column in columns:
         values = column_values[column.name]
         if column.kind is ColumnKind.NUMERIC:
-            ordered = sorted(rows, key=lambda i: values[i])
-            prefix_n1 = 0
-            for position in range(1, n):
-                prefix_n1 += labels[ordered[position - 1]]
-                left_value = values[ordered[position - 1]]
-                right_value = values[ordered[position]]
-                if left_value == right_value:
-                    continue
-                left_n = position
-                right_n = n - position
-                if left_n < floor or right_n < floor:
-                    continue
-                left_n1 = prefix_n1
-                right_n1 = n1 - left_n1
-                children = (left_n / n) * _gini(left_n - left_n1, left_n1) + (
-                    right_n / n
-                ) * _gini(right_n - right_n1, right_n1)
-                consider(parent - children, SplitTest(column.name, threshold=(left_value + right_value) / 2))
+            left_n1 = 0
+            left_value = None
+            # position = rows left of the candidate cut; floor >= 1 skips the first row
+            for position, i in enumerate(sorted_rows[column.name]):
+                right_value = values[i]
+                if floor <= position <= last and left_value != right_value:
+                    right_n = n - position
+                    right_n1 = n1 - left_n1
+                    children = (position / n) * _gini(position - left_n1, left_n1) + (
+                        right_n / n
+                    ) * _gini(right_n - right_n1, right_n1)
+                    gain = parent - children
+                    if gain > best[0]:
+                        best = (gain, column, (left_value + right_value) / 2)
+                left_n1 += labels[i]
+                left_value = right_value
         else:
             tallies: dict[str, list[int]] = {}
             for i in rows:
@@ -231,9 +238,21 @@ def _best_split(
                 children = (left_n / n) * _gini(left_n0, left_n1) + (
                     right_n / n
                 ) * _gini(right_n - right_n1, right_n1)
-                consider(parent - children, SplitTest(column.name, category=category))
+                gain = parent - children
+                if gain > best[0]:
+                    best = (gain, column, category)
 
-    return best
+    gain, column, value = best
+    if column is None:
+        return None
+    if column.kind is ColumnKind.NUMERIC:
+        return gain, SplitTest(column.name, threshold=value)
+    return gain, SplitTest(column.name, category=value)
+
+
+def _partition(order: list[int], flags: bytearray) -> tuple[list[int], list[int]]:
+    """Flagged and unflagged rows of order, each in order's sequence."""
+    return [i for i in order if flags[i]], [i for i in order if not flags[i]]
 
 
 def train(data: LabeledDataset, config: TrainConfig = TrainConfig()) -> DecisionTree:
@@ -261,8 +280,10 @@ def train(data: LabeledDataset, config: TrainConfig = TrainConfig()) -> Decision
                 )
         column_values[column.name] = values
     labels = data.labels
+    all_rows = list(range(len(labels)))
+    flags = bytearray(len(labels))  # split outcome of each row of the node being split
 
-    def build(rows: list[int], depth: int) -> TreeNode:
+    def build(rows: list[int], sorted_rows: dict[str, list[int]], depth: int) -> TreeNode:
         n1 = sum(labels[i] for i in rows)
         counts = (len(rows) - n1, n1)
         if (
@@ -271,22 +292,36 @@ def train(data: LabeledDataset, config: TrainConfig = TrainConfig()) -> Decision
             or len(rows) < 2 * config.min_leaf
         ):
             return TreeNode(counts, depth)
-        found = _best_split(columns, column_values, rows, labels, config.min_leaf)
+        found = _best_split(columns, column_values, rows, sorted_rows, labels, config.min_leaf)
         if found is None or found[0] < config.min_gain:
             return TreeNode(counts, depth)
         gain, test = found
         values = column_values[test.column]
-        true_rows = [i for i in rows if test.passes(values[i])]
-        false_rows = [i for i in rows if not test.passes(values[i])]
+        for i in rows:
+            flags[i] = test.passes(values[i])
+        true_rows, false_rows = _partition(rows, flags)
+        true_sorted: dict[str, list[int]] = {}
+        false_sorted: dict[str, list[int]] = {}
+        for name, order in sorted_rows.items():
+            true_sorted[name], false_sorted[name] = _partition(order, flags)
+        # the children own their slices now; freeing this node's keeps the lists
+        # alive along the recursion path disjoint, at most n rows per column
+        sorted_rows.clear()
         return TreeNode(
             counts,
             depth,
             test,
-            build(true_rows, depth + 1),
-            build(false_rows, depth + 1),
+            build(true_rows, true_sorted, depth + 1),
+            build(false_rows, false_sorted, depth + 1),
         )
 
-    root = build(list(range(len(labels))), 0)
+    # the one sort per numeric column: stable, so equal values keep row order
+    root_sorted = {
+        c.name: sorted(all_rows, key=column_values[c.name].__getitem__)
+        for c in columns
+        if c.kind is ColumnKind.NUMERIC
+    }
+    root = build(all_rows, root_sorted, 0)
     return DecisionTree(root, config, columns)
 
 

@@ -221,7 +221,10 @@ def _read_target(doc: Any) -> TargetDirective:
     if problem is not None:
         fields["source_column"] = problem.reject_rate_column()
     if "U" in fields:
-        fields.setdefault("threshold", fields.pop("U"))
+        if "threshold" in fields:
+            name = directive.get("name", TargetDirective.name)
+            raise UsageError(f"target {name!r} gives both threshold and U; give one")
+        fields["threshold"] = fields.pop("U")
     return TargetDirective(targeting.TargetSpec(**fields), **directive)
 
 
@@ -426,6 +429,14 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
     analysis, encoding_specs, encoding_meta = _apply_encodings(analysis, config.encodings)
 
     # --- feature candidates: everything except target sources and excludes
+    known = set(analysis.column_names).union(
+        *(table.column_names for table in dataset.tables.values())
+    )
+    unknown = [name for name in config.feature_excludes if name not in known]
+    if unknown:
+        raise UsageError(
+            f"features.exclude names no analysis or input column: {', '.join(map(repr, unknown))}"
+        )
     source_columns = {t.spec.source_column for t in config.targets}
     shielded = source_columns | set(config.feature_excludes)
     feature_table = analysis.without_columns(

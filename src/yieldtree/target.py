@@ -49,9 +49,18 @@ class TargetSpec:
         if self.strategy is ThresholdStrategy.FIXED:
             if self.threshold is None or not math.isfinite(self.threshold):
                 raise UsageError("fixed strategy needs a finite threshold")
+        elif self.threshold is not None:
+            raise UsageError(
+                f"{self.strategy.value} strategy reads no threshold (U); "
+                "use the fixed strategy or drop it"
+            )
         if self.strategy is ThresholdStrategy.VALLEY:
             if self.bins is None or self.bins < 3:
                 raise UsageError("valley strategy needs bins >= 3")
+        elif self.bins is not None:
+            raise UsageError(
+                f"{self.strategy.value} strategy reads no bins; use the valley strategy or drop it"
+            )
         if self.grey_half_width < 0:
             raise UsageError("grey_half_width must be >= 0")
 

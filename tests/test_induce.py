@@ -142,13 +142,12 @@ class TestTrain:
             )
 
 
-def root_gain_from_counts(tree) -> float:
-    """Recompute the root's achieved Gini gain from node counts alone."""
-    root = tree.root
-    n = sum(root.counts)
-    parent = float(gini_oracle([0] * root.counts[0] + [1] * root.counts[1]))
+def gain_from_counts(node) -> float:
+    """Recompute an internal node's achieved Gini gain from node counts alone."""
+    n = sum(node.counts)
+    parent = float(gini_oracle([0] * node.counts[0] + [1] * node.counts[1]))
     child_term = 0.0
-    for child in (root.true_child, root.false_child):
+    for child in (node.true_child, node.false_child):
         weight = sum(child.counts) / n
         child_term += weight * float(gini_oracle([0] * child.counts[0] + [1] * child.counts[1]))
     return parent - child_term
@@ -191,7 +190,7 @@ class TestSplitOracle:
 
             checked_splits += 1
             oracle_max = max(c[0] for c in candidates)
-            got = root_gain_from_counts(tree)
+            got = gain_from_counts(tree.root)
             assert got == pytest.approx(float(oracle_max), abs=1e-12)
             # the chosen split is one of the oracle's argmax candidates
             argmax = {
@@ -203,6 +202,72 @@ class TestSplitOracle:
             chosen = (test.column, test.threshold if test.is_numeric else test.category)
             assert chosen in argmax
         assert checked_splits >= 100
+
+
+    def test_every_internal_node_of_deep_trees_matches_exhaustive_oracle(self):
+        # Deep trees over heavily tied values: every node's split search runs
+        # on the rows routed to it, so a child scanning rows that are not its
+        # own shows up as wrong counts, a wrong gain or a non-argmax split.
+        rng = random.Random(16)
+        checked_nodes = deep_nodes = 0
+        for _ in range(200):
+            n_rows = rng.randint(10, 60)
+            columns = [
+                (f"c{c}", rng.choice(["numeric", "categorical"])) for c in range(rng.randint(2, 4))
+            ]
+            rows = [
+                tuple(
+                    float(rng.randint(0, 5)) if kind == "numeric" else rng.choice("abcd")
+                    for _, kind in columns
+                )
+                for _ in range(n_rows)
+            ]
+            labels = [rng.randint(0, 1) for _ in range(n_rows)]
+            config = TrainConfig(
+                max_depth=rng.randint(4, 6), min_leaf=rng.randint(1, 3), min_gain=0.0
+            )
+            data = make_dataset(
+                [(n, NUM if k == "numeric" else CAT) for n, k in columns], rows, labels
+            )
+            tree = train(data, config)
+
+            dict_rows = [dict(zip([n for n, _ in columns], cells)) for cells in rows]
+            stack = [(tree.root, list(range(n_rows)))]
+            while stack:
+                node, routed = stack.pop()
+                node_labels = [labels[i] for i in routed]
+                assert node.counts == (len(routed) - sum(node_labels), sum(node_labels))
+                if node.is_leaf:
+                    continue
+                node_rows = [dict_rows[i] for i in routed]
+                candidates = [
+                    (gain, name, value)
+                    for gain, name, value in split_candidates_oracle(columns, node_rows, node_labels)
+                    if config.min_leaf
+                    <= left_size(columns, node_rows, name, value)
+                    <= len(routed) - config.min_leaf
+                ]
+                oracle_max = max(c[0] for c in candidates)
+                assert gain_from_counts(node) == pytest.approx(float(oracle_max), abs=1e-12)
+                argmax = {
+                    (name, value)
+                    for gain, name, value in candidates
+                    if float(oracle_max - gain) < 1e-12
+                }
+                test = node.test
+                assert (test.column, test.threshold if test.is_numeric else test.category) in argmax
+                checked_nodes += 1
+                deep_nodes += node.depth >= 2
+                passes = [test.passes(dict_rows[i][test.column]) for i in routed]
+                stack.append((node.true_child, [i for i, p in zip(routed, passes) if p]))
+                stack.append((node.false_child, [i for i, p in zip(routed, passes) if not p]))
+        assert checked_nodes >= 1000 and deep_nodes >= 500
+
+
+def left_size(columns, rows, name, value) -> int:
+    """Rows an oracle candidate sends to its true side."""
+    numeric = dict(columns)[name] == "numeric"
+    return sum(1 for row in rows if (row[name] <= value if numeric else row[name] == value))
 
 
 class TestPredict:

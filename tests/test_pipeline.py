@@ -42,6 +42,24 @@ BAD_TARGETS = [
     ({"name": "", "source_column": "yield"}, "file-name-safe"),
 ]
 
+# Target fields the chosen strategy does not read: each one is a usage error.
+UNREAD_TARGET_FIELDS = [
+    pytest.param({"threshold": 90.0}, "median strategy reads no threshold", id="threshold-median"),
+    pytest.param({"U": 90.0}, "median strategy reads no threshold", id="U-median"),
+    pytest.param({"strategy": "valley", "bins": 10, "threshold": 90.0},
+                 "valley strategy reads no threshold", id="threshold-valley"),
+    pytest.param({"strategy": "valley", "bins": 10, "U": 90.0},
+                 "valley strategy reads no threshold", id="U-valley"),
+    pytest.param({"strategy": "fixed", "threshold": 90.0, "bins": 10},
+                 "fixed strategy reads no bins", id="bins-fixed"),
+    pytest.param({"bins": 10}, "median strategy reads no bins", id="bins-median"),
+    pytest.param({"strategy": "fixed", "threshold": 90.0, "U": 80.0},
+                 "both threshold and U", id="threshold-beside-U"),
+]
+
+
+def unread_target(fields):
+    return dict({"name": "t", "source_column": "yield"}, **fields)
 
 # Edits of base_config() that must fail as a usage error naming the field:
 # wrong JSON types, numbers a float cannot hold, misspelled fields and names
@@ -101,7 +119,7 @@ def every_object_config(out_dir):
     doc["screens"] = {"drop_missing": True, "correlation": {"enabled": True}}
     doc["lifts"].insert(0, {"method": "stats", "parameter": "x"})
     doc["encodings"]["batch_order"] = {"id_column": "batch_id"}
-    doc["targets"].append({"name": "x_problem", "problem": X_RULE, "U": 20.0})
+    doc["targets"].append({"name": "x_problem", "problem": X_RULE, "strategy": "fixed", "U": 20.0})
     return copy.deepcopy(doc)  # the edits must not reach the shared X_RULE
 
 
@@ -156,6 +174,27 @@ class TestConfigValidation:
         doc["targets"] = [target]
         with pytest.raises(UsageError, match=message):
             config_from_dict(doc, tmp_path)
+
+    @pytest.mark.parametrize("fields, message", UNREAD_TARGET_FIELDS)
+    def test_target_field_the_strategy_does_not_read_is_usage_error(self, tmp_path, fields, message):
+        doc = base_config(tmp_path / "out")
+        doc["targets"] = [unread_target(fields)]
+        with pytest.raises(UsageError, match=message):
+            config_from_dict(doc, tmp_path)
+
+    def test_misspelled_exclude_is_usage_error_naming_it(self, tmp_path):
+        doc = base_config(tmp_path / "out", n_batches=30)
+        doc["features"]["exclude"] = ["yield", "oven_tmp"]
+        with pytest.raises(UsageError, match="features.exclude.*'oven_tmp'"):
+            run_config(doc, tmp_path)
+        assert not (tmp_path / "out").exists()
+
+    def test_exclude_takes_an_input_column_that_is_not_an_analysis_column(self, tmp_path):
+        doc = base_config(tmp_path / "out", n_batches=30)
+        doc["features"]["exclude"] = ["yield", "x", "oven_temp"]
+        result = run_config(doc, tmp_path)
+        assert "x" not in result.feature_table.column_names
+        assert "oven_temp" not in result.feature_table.column_names
 
     def test_null_source_beside_a_problem_is_absent(self, tmp_path):
         doc = base_config(tmp_path / "out")
@@ -469,6 +508,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "threshold 'ninety'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fields, message", UNREAD_TARGET_FIELDS)
+    def test_target_field_the_strategy_does_not_read_exits_one(self, tmp_path, capsys, fields, message):
+        doc = base_config("out")
+        doc["targets"] = [unread_target(fields)]
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_misspelled_exclude_exits_one(self, tmp_path, capsys):
+        doc = base_config("out", n_batches=30)
+        doc["features"]["exclude"] = ["oven_tmp"]
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        assert "'oven_tmp'" in capsys.readouterr().err
 
     def test_scenario_count_that_is_not_an_integer_exits_one(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

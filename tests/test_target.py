@@ -10,6 +10,8 @@ from yieldtree.lift import RejectionRule
 from yieldtree.model import MISSING
 from yieldtree.target import (
     Direction,
+    TargetSpec,
+    ThresholdStrategy,
     apply_grey_region,
     histogram,
     label_by_threshold,
@@ -119,6 +121,24 @@ class TestThresholdValley:
             threshold_valley([1.0, 2.0], 2)
         with pytest.raises(UsageError):
             threshold_valley([1.0, 1.0], 5)
+
+
+class TestTargetSpec:
+    @pytest.mark.parametrize("strategy, fields, message", [
+        (ThresholdStrategy.MEDIAN, {"threshold": 90.0}, "median strategy reads no threshold"),
+        (ThresholdStrategy.VALLEY, {"threshold": 90.0, "bins": 10}, "valley strategy reads no threshold"),
+        (ThresholdStrategy.FIXED, {"threshold": 90.0, "bins": 10}, "fixed strategy reads no bins"),
+        (ThresholdStrategy.MEDIAN, {"bins": 10}, "median strategy reads no bins"),
+    ])
+    def test_field_the_strategy_does_not_read_is_usage_error(self, strategy, fields, message):
+        with pytest.raises(UsageError, match=message):
+            TargetSpec("yield", strategy, **fields)
+
+    def test_each_strategy_takes_the_field_it_reads(self):
+        assert TargetSpec("yield", ThresholdStrategy.FIXED, threshold=90.0).resolve_threshold([1.0]) == 90.0
+        assert TargetSpec("yield").resolve_threshold([1.0, 3.0]) == 2.0
+        values = [84.0, 85.0, 85.0, 86.0, 94.0, 95.0, 95.0, 96.0]
+        assert TargetSpec("yield", ThresholdStrategy.VALLEY, bins=6).resolve_threshold(values) == 89.0
 
 
 class TestYieldSeries:
