@@ -203,7 +203,6 @@ class TestSplitOracle:
             assert chosen in argmax
         assert checked_splits >= 100
 
-
     def test_every_internal_node_of_deep_trees_matches_exhaustive_oracle(self):
         # Deep trees over heavily tied values: every node's split search runs
         # on the rows routed to it, so a child scanning rows that are not its

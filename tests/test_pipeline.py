@@ -61,6 +61,7 @@ UNREAD_TARGET_FIELDS = [
 def unread_target(fields):
     return dict({"name": "t", "source_column": "yield"}, **fields)
 
+
 # Edits of base_config() that must fail as a usage error naming the field:
 # wrong JSON types, numbers a float cannot hold, misspelled fields and names
 # outside an enum. `"max_depth": null` is not among them: null reads as absent.
