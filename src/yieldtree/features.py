@@ -109,7 +109,7 @@ def order_from_batch_id(table: Table, id_column: str) -> Table:
         ids = [row.cells[index] for row in table.rows]
     elif id_column in table.level.key_fields:
         position = table.level.key_fields.index(id_column)
-        ids = [row.key.ids[position] for row in table.rows]
+        ids = [row.key[position] for row in table.rows]
     else:
         raise UsageError(
             f"{id_column!r} is neither an identifier column nor a key field "

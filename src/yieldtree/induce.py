@@ -199,7 +199,7 @@ def _best_split(
     floor = max(min_leaf, 1)  # an empty child is never a meaningful split
     last = n - floor
 
-    # (gain, column, threshold | category); the SplitTest is built once, at the end
+    # (gain, column, (left, right) values | category); one SplitTest, built at the end
     best: tuple[float, Column | None, Any] = (-math.inf, None, None)
 
     for column in columns:
@@ -218,7 +218,7 @@ def _best_split(
                     ) * _gini(right_n - right_n1, right_n1)
                     gain = parent - children
                     if gain > best[0]:
-                        best = (gain, column, (left_value + right_value) / 2)
+                        best = (gain, column, (left_value, right_value))
                 left_n1 += labels[i]
                 left_value = right_value
         else:
@@ -246,7 +246,10 @@ def _best_split(
     if column is None:
         return None
     if column.kind is ColumnKind.NUMERIC:
-        return gain, SplitTest(column.name, threshold=value)
+        midpoint = (value[0] + value[1]) / 2
+        if not math.isfinite(midpoint):  # the sum overflowed; halving each is exact
+            midpoint = value[0] / 2 + value[1] / 2
+        return gain, SplitTest(column.name, threshold=midpoint)
     return gain, SplitTest(column.name, category=value)
 
 

@@ -248,7 +248,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
             ids = []
             for name in schema.key_columns:
                 value = record[positions[name]]
-                if value in schema.missing_tokens:
+                if not value or value in schema.missing_tokens:
                     raise ParseError(
                         f"{path}: row {row_number}: key column {name} is missing"
                     )
@@ -332,7 +332,7 @@ def write_table(table: Table, path: str | Path) -> None:
         writer.writerow(list(key_names) + list(table.column_names))
         for row in table.rows:
             cells = [_format_cell(v, c) for v, c in zip(row.cells, table.columns)]
-            writer.writerow(list(row.key.ids) + cells)
+            writer.writerow(list(row.key) + cells)
 
 
 def table_schema(table: Table) -> TableSchema:

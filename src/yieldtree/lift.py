@@ -110,7 +110,7 @@ def lift_stats(
         Column(f"{parameter}_{suffix}", ColumnKind.NUMERIC) for suffix in STAT_SUFFIXES
     )
     rows = []
-    for key in sorted(_target_keys(dataset, to_level, groups), key=lambda k: k.ids):
+    for key in sorted(_target_keys(dataset, to_level, groups)):
         group = by_key.get(key)
         values = (
             [row.cells[value_index] for row in group.rows if not is_missing(row.cells[value_index])]
@@ -193,15 +193,15 @@ def broadcast_down(
     target = dataset.table(to_level)
     declaration = source.column(column)
     value_index = source.column_index(column)
-    by_ids = {row.key.ids: row.cells[value_index] for row in source.rows}
+    by_key = {row.key: row.cells[value_index] for row in source.rows}
 
     depth = from_level + 1
     rows = []
     for row in target.rows:
-        prefix = row.key.ids[:depth]
-        if prefix not in by_ids:
+        prefix = row.key[:depth]
+        if prefix not in by_key:
             raise DataError(
                 f"row {row.key} has no {from_level.name} ancestor {row.key.ancestor(from_level)}"
             )
-        rows.append(Row(row.key, (by_ids[prefix],)))
+        rows.append(Row(row.key, (by_key[prefix],)))
     return Table(to_level, (declaration,), tuple(rows))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import partial
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
@@ -95,37 +96,47 @@ class Column:
                 )
 
 
-@dataclass(frozen=True, slots=True)
-class EntityKey:
-    """Key of one row: exactly the identifiers for its level and coarser ones.
+class EntityKey(tuple):
+    """Key of one row: the tuple of its identifiers, coarse to fine.
 
-    `ids` is the canonical identity and sort order; the ids of the ancestor
-    at `level` are the prefix ``ids[:level + 1]``.
+    A key at `level` is exactly its level + 1 non-empty ids. It hashes,
+    compares and sorts like that plain tuple, and the ids of its ancestor at
+    `level` are the prefix ``key[:level + 1]``.
     """
 
-    level: GranularityLevel
-    batch_id: str
-    wafer_id: str | None = None
-    site_id: str | None = None
-    ic_id: str | None = None
+    __slots__ = ()
+
+    def __new__(cls, level, batch_id=None, wafer_id=None, site_id=None, ic_id=None):
+        ids, depth = (batch_id, wafer_id, site_id, ic_id), level + 1
+        if ids[depth:].count(None) != len(ids) - depth:
+            extra = next(f for f, v in zip(_KEY_FIELDS[depth:], ids[depth:]) if v is not None)
+            raise UsageError(f"{GranularityLevel(level).name} key must not carry {extra}")
+        key = tuple.__new__(cls, ids[:depth])
+        key.__post_init__()
+        return key
 
     def __post_init__(self) -> None:
-        ids = (self.batch_id, self.wafer_id, self.site_id, self.ic_id)
-        for depth, value in enumerate(ids):
-            required = depth <= self.level
-            if required and not value:
-                raise UsageError(
-                    f"{self.level.name} key needs {_KEY_FIELDS[depth]}"
-                )
-            if not required and value is not None:
-                raise UsageError(
-                    f"{self.level.name} key must not carry {_KEY_FIELDS[depth]}"
-                )
+        """Check that every id is non-empty; perfbench/tracer.py patches this hook."""
+        if not all(self):
+            missing = _KEY_FIELDS[[bool(v) for v in self].index(False)]
+            raise UsageError(f"{self.level.name} key needs {missing}")
+
+    def __reduce__(self):
+        return EntityKey, (self.level, *self)
+
+    @property
+    def level(self) -> GranularityLevel:
+        return GranularityLevel(len(self) - 1)
+
+    batch_id = property(lambda key: key[0])
+    wafer_id = property(lambda key: key[1] if len(key) > 1 else None)
+    site_id = property(lambda key: key[2] if len(key) > 2 else None)
+    ic_id = property(lambda key: key[3] if len(key) > 3 else None)
 
     @property
     def ids(self) -> tuple[str, ...]:
         """Identifiers coarse to fine, exactly level depth + 1 of them."""
-        return (self.batch_id, self.wafer_id, self.site_id, self.ic_id)[: self.level + 1]
+        return tuple(self)
 
     def ancestor(self, level: GranularityLevel) -> "EntityKey":
         """Key of this row's ancestor at a coarser (or equal) level."""
@@ -133,11 +144,17 @@ class EntityKey:
             raise UsageError(
                 f"{level.name} is finer than {self.level.name}; no such ancestor"
             )
-        ids = self.ids[: level.value + 1]
-        return EntityKey(level, *ids)
+        return _prefix_key(self[: level + 1])
+
+    def __repr__(self) -> str:
+        return f"EntityKey(GranularityLevel.{self.level.name}, {', '.join(map(repr, self))})"
 
     def __str__(self) -> str:
-        return "/".join(self.ids)
+        return "/".join(self)
+
+
+# A prefix of a checked key is a valid key of a coarser level: no re-check.
+_prefix_key = partial(tuple.__new__, EntityKey)
 
 
 class Row(NamedTuple):
@@ -164,12 +181,13 @@ class Table:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise UsageError(f"duplicate column names: {sorted(names)}")
+        depth, width = self.level + 1, len(self.columns)
         for row in self.rows:
-            if row.key.level is not self.level:
+            if len(row.key) != depth:
                 raise UsageError(
                     f"row {row.key} is at {row.key.level.name}, table is {self.level.name}"
                 )
-            if len(row.cells) != len(self.columns):
+            if len(row.cells) != width:
                 raise UsageError(
                     f"row {row.key} has {len(row.cells)} cells for {len(self.columns)} columns"
                 )
@@ -332,26 +350,24 @@ def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
     """Report every orphan child key and every duplicate key in the dataset."""
     duplicates: list[Violation] = []
     orphans: list[Violation] = []
-    ids_by_level: dict[GranularityLevel, set[tuple[str, ...]]] = {}
+    keys_by_level: dict[GranularityLevel, set[EntityKey]] = {}
 
     for level in dataset.levels:
         table = dataset.tables[level]
-        seen: set[tuple[str, ...]] = set()
+        seen: set[EntityKey] = set()
         for row in table.rows:
-            ids = row.key.ids
-            if ids in seen:
+            if row.key in seen:
                 duplicates.append(
                     Violation("duplicate", level, row.key, f"key {row.key} occurs more than once")
                 )
-            seen.add(ids)
-        ids_by_level[level] = seen
+            seen.add(row.key)
+        keys_by_level[level] = seen
 
     for level in dataset.levels:
-        coarser = [(l, l + 1, ids_by_level[l]) for l in dataset.levels if l < level]
+        coarser = [(l, l + 1, keys_by_level[l]) for l in dataset.levels if l < level]
         for row in dataset.tables[level].rows:
-            ids = row.key.ids
             for parent_level, depth, parents in coarser:
-                if ids[:depth] not in parents:
+                if row.key[:depth] not in parents:
                     ancestor = row.key.ancestor(parent_level)
                     detail = f"row {row.key} has no {parent_level.name} ancestor {ancestor}"
                     orphans.append(Violation("orphan", level, row.key, detail))
@@ -377,11 +393,8 @@ def group_by_ancestor(table: Table, ancestor_level: GranularityLevel) -> list[Gr
     depth = ancestor_level + 1
     buckets: dict[tuple[str, ...], list[Row]] = {}
     for row in table.rows:
-        buckets.setdefault(row.key.ids[:depth], []).append(row)
-    return [
-        Group(EntityKey(ancestor_level, *prefix), tuple(buckets[prefix]))
-        for prefix in sorted(buckets)
-    ]
+        buckets.setdefault(row.key[:depth], []).append(row)
+    return [Group(_prefix_key(prefix), tuple(buckets[prefix])) for prefix in sorted(buckets)]
 
 
 def join_tables(left: Table, right: Table) -> Table:

@@ -318,9 +318,9 @@ def _screen_dataset(
     # cascade: a dropped ancestor takes its descendants with it
     levels = sorted(tables)
     for parent_level, level in zip(levels, levels[1:]):
-        parents = {row.key.ids for row in tables[parent_level].rows}
+        parents = {row.key for row in tables[parent_level].rows}
         depth = parent_level + 1
-        keep = [row.key.ids[:depth] in parents for row in tables[level].rows]
+        keep = [row.key[:depth] in parents for row in tables[level].rows]
         stats["orphans_pruned"][level.name.lower()] = len(keep) - sum(keep)
         tables[level] = tables[level].filter_rows(keep)
 

@@ -205,9 +205,10 @@ def _reject_probability(scenario: FabScenario, timestamp: datetime, machine: str
     return min(max(p, 0.0), 1.0)
 
 
-def _zero_padded(index: int, count: int, minimum_width: int) -> str:
+def _zero_padded(count: int, minimum_width: int) -> list[str]:
+    """The ids 0 .. count - 1, zero-padded to one common width."""
     width = max(minimum_width, len(str(count - 1)))
-    return f"{index:0{width}d}"
+    return [f"{index:0{width}d}" for index in range(count)]
 
 
 BATCH_COLUMNS = (
@@ -244,10 +245,12 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
     wafer_rows: list[Row] = []
     site_rows: list[Row] = []
     ic_rows: list[Row] = []
+    wafer_ids = _zero_padded(scenario.wafers_per_batch, 2)
+    site_ids = _zero_padded(sites, 1)
+    ic_ids = _zero_padded(scenario.ics_per_wafer, 3)
 
-    for b in range(scenario.n_batches):
+    for b, batch_id in enumerate(_zero_padded(scenario.n_batches, 4)):
         rng = PortableRandom(derive_seed(scenario.seed, b))
-        batch_id = _zero_padded(b, scenario.n_batches, 4)
         batch_key = EntityKey(GranularityLevel.BATCH, batch_id)
         timestamp = scenario.batch_start(b)
         machine = str(rng.randint(0, scenario.n_machines - 1))
@@ -258,8 +261,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
         p = _reject_probability(scenario, timestamp, machine, supplier)
 
         accepted = 0
-        for w in range(scenario.wafers_per_batch):
-            wafer_id = _zero_padded(w, scenario.wafers_per_batch, 2)
+        for wafer_id in wafer_ids:
             wafer_key = EntityKey(GranularityLevel.WAFER, batch_id, wafer_id)
             rejected = rng.random() < p
             if not rejected:
@@ -269,8 +271,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
             # how many sites exceed the threshold: >= k iff rejected
             exceed_count = rng.randint(k, sites) if rejected else rng.randint(0, k - 1)
             exceeding = set(rng.shuffled(range(sites))[:exceed_count])
-            for s in range(sites):
-                site_id = _zero_padded(s, sites, 1)
+            for s, site_id in enumerate(site_ids):
                 site_key = EntityKey(GranularityLevel.SITE, batch_id, wafer_id, site_id)
                 if s in exceeding:
                     value = rng.uniform(t + 0.5, t + 5.0)
@@ -278,10 +279,8 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
                     value = rng.uniform(t - 8.0, t - 0.5)
                 site_rows.append(Row(site_key, (value,)))
 
-            for i in range(scenario.ics_per_wafer):
-                ic_id = _zero_padded(i, scenario.ics_per_wafer, 3)
-                site_id = _zero_padded(i % sites, sites, 1)
-                ic_key = EntityKey(GranularityLevel.IC, batch_id, wafer_id, site_id, ic_id)
+            for i, ic_id in enumerate(ic_ids):
+                ic_key = EntityKey(GranularityLevel.IC, batch_id, wafer_id, site_ids[i % sites], ic_id)
                 ic_rows.append(Row(ic_key, (rng.uniform(0.0, 1.0),)))
 
         batch_yield = float(Fraction(100 * accepted, scenario.wafers_per_batch))

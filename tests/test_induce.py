@@ -126,6 +126,12 @@ class TestTrain:
         tree = train(data, LOOSE)
         assert tree.root.test.threshold == 1.5
 
+    def test_midpoint_of_values_near_the_float_maximum_stays_finite(self):
+        # (1e308 + 1.5e308) / 2 overflows to inf; halving each value first does not
+        tree = train(numeric_dataset([1e308, 1.5e308], [0, 1]), LOOSE)
+        assert tree.root.test == SplitTest("x", threshold=1e308 / 2 + 1.5e308 / 2)
+        assert predict(tree, {"x": 1e308}) == 0 and predict(tree, {"x": 1.5e308}) == 1
+
     def test_deterministic_across_repeats(self):
         rng = random.Random(14)
         for _ in range(10):

@@ -75,6 +75,32 @@ class TestLoadTable:
         with pytest.raises(ParseError, match="batch_id"):
             load_table(path, batch_schema)
 
+    def test_empty_key_cell_is_parse_error_when_not_a_missing_token(self, tmp_path):
+        schema = TableSchema(
+            BATCH, ("batch_id",), (Column("yield", ColumnKind.NUMERIC),), {"NA"}
+        )
+        path = write_csv(tmp_path, "batch_id,yield\nb1,95\n,80\n")
+        with pytest.raises(ParseError, match=r"t\.csv: row 2: key column batch_id is missing"):
+            load_table(path, schema)
+
+    def test_empty_key_cell_exits_with_data_error(self, tmp_path, capsys):
+        write_csv(tmp_path, "batch_id,yield\nb1,95\n,80\n", "batch.csv")
+        doc = {
+            "input": {"csv": [
+                {"path": "batch.csv", "level": "batch", "key_columns": ["batch_id"],
+                 "columns": [{"name": "yield", "kind": "numeric"}],
+                 "missing_tokens": ["NA"]},
+            ]},
+            "targets": [{"name": "t", "source_column": "yield", "strategy": "fixed", "threshold": 90.0}],
+            "train": {"min_leaf": 1},
+            "outputs": {"dir": "out"},
+        }
+        config = write_csv(tmp_path, json.dumps(doc), "config.json")
+        assert main(["analyze", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "row 2: key column batch_id is missing" in err
+        assert "Traceback" not in err
+
 
 def table_with_missing():
     column = Column("x", ColumnKind.NUMERIC)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -46,6 +48,74 @@ class TestEntityKey:
             batch_key("b1").ancestor(SITE)
 
 
+ONE_KEY_PER_LEVEL = [
+    EntityKey(BATCH, "b1"),
+    EntityKey(WAFER, "b1", "w2"),
+    EntityKey(SITE, "b1", "w2", "s3"),
+    EntityKey(IC, "b1", "w2", "s3", "i4"),
+]
+
+
+class TestEntityKeyContract:
+    """A key is its ids tuple: it hashes, compares and slices like it."""
+
+    @pytest.mark.parametrize("key", ONE_KEY_PER_LEVEL, ids=lambda k: k.level.name)
+    def test_pickle_and_deepcopy_round_trip(self, key):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(key, protocol))
+            assert type(back) is EntityKey and back == key and back.level is key.level
+        duplicate = copy.deepcopy(key)
+        assert type(duplicate) is EntityKey and duplicate == key and duplicate.level is key.level
+        assert copy.copy(key) == key
+
+    def test_is_its_ids_tuple(self):
+        for key in ONE_KEY_PER_LEVEL:
+            assert isinstance(key, tuple) and key == key.ids and hash(key) == hash(key.ids)
+            assert len(key) == key.level + 1
+            assert key[: BATCH + 1] == ("b1",)
+
+    def test_keys_of_different_levels_never_equal(self):
+        for i, left in enumerate(ONE_KEY_PER_LEVEL):
+            for j, right in enumerate(ONE_KEY_PER_LEVEL):
+                assert (left == right) is (i == j)
+        assert len(set(ONE_KEY_PER_LEVEL)) == len(ONE_KEY_PER_LEVEL)
+
+    def test_sorts_like_its_ids(self):
+        rng = random.Random(3)
+        keys = [
+            EntityKey(level, *(rng.choice(["0", "1", "10", "a", "A"]) for _ in range(level + 1)))
+            for level in GranularityLevel
+            for _ in range(25)
+        ]
+        rng.shuffle(keys)
+        assert sorted(keys) == sorted(keys, key=lambda k: k.ids)
+
+    def test_ancestor_is_an_entity_key_of_that_level(self):
+        ic = ONE_KEY_PER_LEVEL[IC]
+        for level in GranularityLevel:
+            ancestor = ic.ancestor(level)
+            assert type(ancestor) is EntityKey and ancestor.level is level
+            assert ancestor == ONE_KEY_PER_LEVEL[level]
+
+    def test_fields_read_the_ids_and_none_beyond_the_level(self):
+        wafer = ONE_KEY_PER_LEVEL[WAFER]
+        assert (wafer.batch_id, wafer.wafer_id, wafer.site_id, wafer.ic_id) == ("b1", "w2", None, None)
+        assert EntityKey(WAFER, "b1", "w2", None) == wafer
+        assert EntityKey(WAFER, batch_id="b1", wafer_id="w2") == wafer
+
+    def test_empty_id_rejected(self):
+        with pytest.raises(UsageError, match="SITE key needs wafer_id"):
+            EntityKey(SITE, "b1", "", "s1")
+        with pytest.raises(UsageError, match="BATCH key must not carry site_id"):
+            EntityKey(BATCH, "b1", None, "s1")
+
+    def test_repr_and_str_are_stable(self):
+        key = ONE_KEY_PER_LEVEL[SITE]
+        assert repr(key) == "EntityKey(GranularityLevel.SITE, 'b1', 'w2', 's3')"
+        assert str(key) == "b1/w2/s3"
+        assert str(ONE_KEY_PER_LEVEL[BATCH]) == "b1"
+
+
 class TestColumn:
     def test_limits_require_numeric(self):
         with pytest.raises(UsageError):
@@ -82,6 +152,18 @@ class TestTable:
         assert grown.without_columns(["x"]).column_names == ("y",)
         with pytest.raises(UsageError):
             grown.with_added_columns([Column("x", ColumnKind.NUMERIC)], [(0.0,)])
+
+    def test_wrong_level_key_rejected_with_its_level_named(self):
+        for key in (site_key("b1", "w1", "s1"), batch_key("b1")):
+            with pytest.raises(UsageError, match=rf"is at {key.level.name}, table is WAFER"):
+                Table(WAFER, (), (Row(key, ()),))
+
+    def test_short_extra_cells_rejected_by_with_added_columns(self):
+        col = Column("x", ColumnKind.NUMERIC)
+        table = Table(BATCH, (col,), (Row(batch_key("b1"), (1.0,)), Row(batch_key("b2"), (2.0,))))
+        added = [Column("y", ColumnKind.NUMERIC), Column("z", ColumnKind.NUMERIC)]
+        with pytest.raises(UsageError, match="row b2 has 2 cells for 3 columns"):
+            table.with_added_columns(added, [(1.0, 1.0), (2.0,)])
 
 
 class TestLabeledDataset:
