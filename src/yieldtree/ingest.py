@@ -15,8 +15,9 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .errors import ParseError, SchemaError, UsageError
 from .model import (
@@ -191,46 +192,56 @@ def choice(options: Mapping[str, T] | type[Enum]) -> Callable[[Any], T]:
     return read
 
 
-def _parse_cell(text: str, column: Column, row_number: int, tokens: frozenset[str]) -> Any:
-    if text in tokens:
-        return MISSING
-    if column.kind is ColumnKind.NUMERIC:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan  # fails the finiteness check below
-        if not math.isfinite(value):
-            raise ParseError(
-                f"row {row_number}, column {column.name}: "
-                f"cannot parse {text!r} as a finite number"
-            )
-        return value
-    if column.kind is ColumnKind.TIMESTAMP:
-        try:
-            return parse_timestamp(text)
-        except ValueError:
-            raise ParseError(
-                f"row {row_number}, column {column.name}: "
-                f"cannot parse {text!r} as {TIMESTAMP_FORMAT!r}"
-            ) from None
-    return text
+# Records parsed together, a column at a time. The freed text of a block stays
+# behind as allocator fragments, so blocks of 256 or more raised peak memory.
+_BLOCK_ROWS = 64
+
+
+def _next_records(reader: Any, count: int, path: Path) -> list[list[str]]:
+    """Up to count more records; input the reader cannot decode or split is a ParseError."""
+    try:
+        return list(islice(reader, count))
+    except UnicodeDecodeError as exc:
+        bad, line = exc.object[exc.start:exc.end], reader.line_num + 1
+        raise ParseError(f"{path}: byte {bad!r} on line {line} or later is not UTF-8") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _convert(texts: Sequence[str], kind: ColumnKind, tokens: frozenset[str]) -> list | None:
+    """The cells of one column of this kind, or None if a cell does not parse."""
+    try:
+        if kind is ColumnKind.TIMESTAMP:
+            return [MISSING if text in tokens else parse_timestamp(text) for text in texts]
+        if kind is not ColumnKind.NUMERIC:
+            return [MISSING if text in tokens else text for text in texts]
+        values = [MISSING if text in tokens else float(text) for text in texts]
+    except ValueError:
+        return None
+    return values if all(value is MISSING or math.isfinite(value) for value in values) else None
 
 
 def load_table(path: str | Path, schema: TableSchema) -> Table:
     """Load one CSV into a Table, matching columns by header name.
 
     Cells equal to a declared missing token become the missing marker. Key
-    cells may not be missing. Extra CSV columns are ignored.
+    cells may not be missing, and an empty key cell is missing whatever the
+    tokens. Extra CSV columns are ignored. The file must be UTF-8.
+
+    Rows are parsed in fixed blocks, a column at a time. In a file with
+    several defects the error names the first defect of the first block that
+    has any, in this order: a short row, a missing key cell (key columns in
+    schema order), a cell that does not parse (data columns in schema order),
+    each at the first such row of the block.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file has no header row") from None
+        header = _next_records(reader, 1, path)
+        if not header:
+            raise SchemaError(f"{path}: file has no header row")
         positions: dict[str, int] = {}
-        for i, name in enumerate(header):
+        for i, name in enumerate(header[0]):
             positions.setdefault(name, i)
         needed = list(schema.key_columns) + [c.name for c in schema.columns]
         absent = [name for name in needed if name not in positions]
@@ -238,27 +249,37 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
             raise SchemaError(f"{path}: missing declared columns {absent}")
 
         width = 1 + max(positions[name] for name in needed)
+        tokens = schema.missing_tokens
+        no_key = tokens | {""}
         rows: list[Row] = []
-        for row_number, record in enumerate(reader, start=1):
-            if len(record) < width:
+        while block := _next_records(reader, _BLOCK_ROWS, path):
+            first = len(rows) + 1  # row number of block[0]
+            if min(map(len, block)) < width:
+                i = next(i for i, record in enumerate(block) if len(record) < width)
                 raise ParseError(
-                    f"{path}: row {row_number} has {len(record)} fields, "
+                    f"{path}: row {first + i} has {len(block[i])} fields, "
                     f"expected at least {width}"
                 )
-            ids = []
-            for name in schema.key_columns:
-                value = record[positions[name]]
-                if not value or value in schema.missing_tokens:
+            fields = list(zip(*block))
+            ids = [fields[positions[name]] for name in schema.key_columns]
+            for name, column in zip(schema.key_columns, ids):
+                if not no_key.isdisjoint(column):
+                    i = next(i for i, value in enumerate(column) if value in no_key)
+                    raise ParseError(f"{path}: row {first + i}: key column {name} is missing")
+            cells = []
+            for c in schema.columns:
+                texts = fields[positions[c.name]]
+                values = _convert(texts, c.kind, tokens)
+                if values is None:
+                    i = [_convert([text], c.kind, tokens) for text in texts].index(None)
+                    numeric = c.kind is ColumnKind.NUMERIC
+                    expected = "a finite number" if numeric else repr(TIMESTAMP_FORMAT)
                     raise ParseError(
-                        f"{path}: row {row_number}: key column {name} is missing"
+                        f"row {first + i}, column {c.name}: cannot parse {texts[i]!r} as {expected}"
                     )
-                ids.append(value)
-            key = EntityKey(schema.level, *ids)
-            cells = tuple(
-                _parse_cell(record[positions[c.name]], c, row_number, schema.missing_tokens)
-                for c in schema.columns
-            )
-            rows.append(Row(key, cells))
+                cells.append(values)
+            keys = map(EntityKey.from_ids, zip(*ids))
+            rows.extend(map(Row, keys, zip(*cells) if cells else repeat((), len(block))))
 
     return Table(schema.level, schema.columns, tuple(rows))
 
@@ -275,7 +296,7 @@ def load_dataset(specs: list[tuple[str | Path, TableSchema]]) -> HierarchicalDat
 
 def drop_missing(table: Table) -> tuple[Table, int]:
     """Drop every row that has at least one missing cell."""
-    keep = [not any(is_missing(v) for v in row.cells) for row in table.rows]
+    keep = [MISSING not in row.cells for row in table.rows]
     kept = table.filter_rows(keep)
     return kept, len(table) - len(kept)
 
@@ -296,17 +317,17 @@ def apply_sensor_limits(
     if not limited:
         return table, []
 
-    flagged: list[tuple[EntityKey, str, float]] = []
-    keep: list[bool] = []
-    for row in table.rows:
-        row_flags = [
-            (row.key, name, row.cells[i])
-            for i, name, (lo, hi) in limited
-            if not is_missing(row.cells[i]) and not lo <= row.cells[i] <= hi
-        ]
-        flagged.extend(row_flags)
-        keep.append(not row_flags)
-    return table.filter_rows(keep), flagged
+    # every violating cell, scanned one limited column at a time, sorted back
+    # to row order and, within a row, to column order
+    hits = sorted(
+        (r, order, name, cells[i])
+        for order, (i, name, (lo, hi)) in enumerate(limited)
+        for r, (_, cells) in enumerate(table.rows)
+        if cells[i] is not MISSING and not lo <= cells[i] <= hi
+    )
+    dropped = {hit[0] for hit in hits}
+    keep = [r not in dropped for r in range(len(table))]
+    return table.filter_rows(keep), [(table.rows[r].key, c, v) for r, _, c, v in hits]
 
 
 def _format_cell(value: Any, column: Column) -> str:
@@ -336,8 +357,10 @@ def write_table(table: Table, path: str | Path) -> None:
 
 
 def table_schema(table: Table) -> TableSchema:
-    """Schema that reads back a CSV produced by write_table for this table."""
-    return TableSchema(table.level, table.level.key_fields, table.columns)
+    """Schema that reads back a CSV produced by write_table for this table. Its
+    one missing token is "", the only one write_table writes, so an empty text
+    cell reads back as missing."""
+    return TableSchema(table.level, table.level.key_fields, table.columns, {""})
 
 
 def write_dataset(dataset: HierarchicalDataset, directory: str | Path) -> dict[GranularityLevel, Path]:

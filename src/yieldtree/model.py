@@ -111,7 +111,12 @@ class EntityKey(tuple):
         if ids[depth:].count(None) != len(ids) - depth:
             extra = next(f for f, v in zip(_KEY_FIELDS[depth:], ids[depth:]) if v is not None)
             raise UsageError(f"{GranularityLevel(level).name} key must not carry {extra}")
-        key = tuple.__new__(cls, ids[:depth])
+        return cls.from_ids(ids[:depth])
+
+    @classmethod
+    def from_ids(cls, ids: tuple[str, ...]) -> "EntityKey":
+        """Checked key of one to four ids, coarse to fine; its level is len(ids) - 1."""
+        key = tuple.__new__(cls, ids)
         key.__post_init__()
         return key
 
@@ -249,9 +254,11 @@ class Table:
         return Table(self.level, cols, rows)
 
     def filter_rows(self, keep: Sequence[bool]) -> "Table":
-        """New table keeping rows where the mask is true; order preserved."""
+        """Rows where the mask is true, order preserved; this table itself if that is all."""
         if len(keep) != len(self.rows):
             raise UsageError("row mask does not align with rows")
+        if all(keep):
+            return self
         return Table(
             self.level,
             self.columns,

@@ -251,7 +251,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
 
     for b, batch_id in enumerate(_zero_padded(scenario.n_batches, 4)):
         rng = PortableRandom(derive_seed(scenario.seed, b))
-        batch_key = EntityKey(GranularityLevel.BATCH, batch_id)
+        batch_key = EntityKey.from_ids((batch_id,))
         timestamp = scenario.batch_start(b)
         machine = str(rng.randint(0, scenario.n_machines - 1))
         operator = str(rng.randint(0, DEFAULT_OPERATORS - 1))
@@ -262,7 +262,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
 
         accepted = 0
         for wafer_id in wafer_ids:
-            wafer_key = EntityKey(GranularityLevel.WAFER, batch_id, wafer_id)
+            wafer_key = EntityKey.from_ids((batch_id, wafer_id))
             rejected = rng.random() < p
             if not rejected:
                 accepted += 1
@@ -272,7 +272,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
             exceed_count = rng.randint(k, sites) if rejected else rng.randint(0, k - 1)
             exceeding = set(rng.shuffled(range(sites))[:exceed_count])
             for s, site_id in enumerate(site_ids):
-                site_key = EntityKey(GranularityLevel.SITE, batch_id, wafer_id, site_id)
+                site_key = EntityKey.from_ids((batch_id, wafer_id, site_id))
                 if s in exceeding:
                     value = rng.uniform(t + 0.5, t + 5.0)
                 else:
@@ -280,7 +280,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
                 site_rows.append(Row(site_key, (value,)))
 
             for i, ic_id in enumerate(ic_ids):
-                ic_key = EntityKey(GranularityLevel.IC, batch_id, wafer_id, site_ids[i % sites], ic_id)
+                ic_key = EntityKey.from_ids((batch_id, wafer_id, site_ids[i % sites], ic_id))
                 ic_rows.append(Row(ic_key, (rng.uniform(0.0, 1.0),)))
 
         batch_yield = float(Fraction(100 * accepted, scenario.wafers_per_batch))

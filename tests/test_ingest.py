@@ -1,9 +1,13 @@
+import csv
 import json
+import math
+import random
 from datetime import datetime
 
 import pytest
 
 from conftest import BATCH, batch_key, numeric_table
+from yieldtree import ingest
 from yieldtree.cli import main
 from yieldtree.errors import ParseError, SchemaError
 from yieldtree.ingest import (
@@ -16,7 +20,16 @@ from yieldtree.ingest import (
     table_schema,
     write_table,
 )
-from yieldtree.model import MISSING, Column, ColumnKind, Row, Table, is_missing
+from yieldtree.model import (
+    MISSING,
+    Column,
+    ColumnKind,
+    EntityKey,
+    GranularityLevel,
+    Row,
+    Table,
+    is_missing,
+)
 
 
 @pytest.fixture
@@ -102,6 +115,64 @@ class TestLoadTable:
         assert "Traceback" not in err
 
 
+def analyze_batch_csv(tmp_path, data: bytes) -> int:
+    """Run `analyze` on a one-level CSV input whose bytes are `data`."""
+    (tmp_path / "batch.csv").write_bytes(data)
+    doc = {
+        "input": {"csv": [
+            {"path": "batch.csv", "level": "batch", "key_columns": ["batch_id"],
+             "columns": [{"name": "yield", "kind": "numeric"}]},
+        ]},
+        "targets": [{"name": "t", "source_column": "yield", "strategy": "fixed", "threshold": 90.0}],
+        "train": {"min_leaf": 1},
+        "outputs": {"dir": "out"},
+    }
+    config = write_csv(tmp_path, json.dumps(doc), "config.json")
+    return main(["analyze", "--config", str(config)])
+
+
+class TestUnreadableInput:
+    """Bytes that are not UTF-8, or a record the CSV reader cannot split,
+    are bad data: a ParseError naming the file and the reader's line."""
+
+    def test_undecodable_byte_is_parse_error(self, tmp_path, batch_schema):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"batch_id,oven_temp\nb1,350\nb2,3\xff5\n")
+        with pytest.raises(ParseError, match=r"t\.csv: byte b'\\xff' on line 1 or later is not UTF-8"):
+            load_table(path, batch_schema)
+
+    def test_undecodable_byte_far_into_a_file_names_a_line_at_or_before_it(
+        self, tmp_path, batch_schema
+    ):
+        lines = [b"batch_id,oven_temp"] + [b"b%d,350" % i for i in range(5000)]
+        lines[4000] = b"b3999,3\xff5"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match=r"on line (\d+) or later is not UTF-8") as caught:
+            load_table(path, batch_schema)
+        line = int(caught.value.args[0].split("on line ")[1].split()[0])
+        assert 1 < line <= 4001
+
+    def test_oversized_field_is_parse_error(self, tmp_path, batch_schema):
+        path = write_csv(tmp_path, "batch_id,oven_temp\nb1,350\nb2," + "9" * 200_000 + "\n")
+        with pytest.raises(ParseError, match=r"t\.csv: line 3: field larger than field limit"):
+            load_table(path, batch_schema)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"batch_id,yield\nb1,95\nb2,8\xff0\n", "batch.csv: byte b'\\xff' on line 1"),
+            (b"batch_id,yield\nb1,95\nb2," + b"9" * 200_000 + b"\n", "batch.csv: line 3: field larger"),
+        ],
+        ids=["undecodable", "oversized"],
+    )
+    def test_cli_exits_with_data_error(self, tmp_path, capsys, data, message):
+        assert analyze_batch_csv(tmp_path, data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert "Traceback" not in err
+
+
 def table_with_missing():
     column = Column("x", ColumnKind.NUMERIC)
     other = Column("y", ColumnKind.NUMERIC)
@@ -164,6 +235,25 @@ class TestSensorLimits:
         kept, flagged = apply_sensor_limits(table)
         assert kept == table and flagged == []
 
+    def test_missing_limited_cell_is_kept(self):
+        kept, flagged = apply_sensor_limits(self._table([MISSING, 50.0, 150.0]))
+        assert [r.key.batch_id for r in kept.rows] == ["b0", "b1"]
+        assert flagged == [(batch_key("b2"), "x", 150.0)]
+
+    def test_flags_in_row_order_then_column_order(self):
+        columns = (
+            Column("y", ColumnKind.NUMERIC, sensor_limits=(0.0, 1.0)),
+            Column("label", ColumnKind.CATEGORICAL),
+            Column("x", ColumnKind.NUMERIC, sensor_limits=(0.0, 1.0)),
+        )
+        cells = [(5.0, "a", 5.0), (0.5, "b", -1.0), (MISSING, "c", 0.5), (-2.0, "d", MISSING)]
+        rows = tuple(Row(batch_key(f"b{i}"), c) for i, c in enumerate(cells))
+        kept, flagged = apply_sensor_limits(Table(BATCH, columns, rows))
+        assert [r.key.batch_id for r in kept.rows] == ["b2"]
+        assert [(k.batch_id, name, v) for k, name, v in flagged] == [
+            ("b0", "y", 5.0), ("b0", "x", 5.0), ("b1", "x", -1.0), ("b3", "y", -2.0),
+        ]
+
     def test_idempotent_and_conserving(self):
         table = self._table([-1.0, 0.0, 101.0, 99.0])
         kept, flagged = apply_sensor_limits(table)
@@ -184,6 +274,15 @@ class TestRoundTrip:
             Row(batch_key("b2"), (MISSING, "1", 12.25)),
         )
         table = Table(BATCH, columns, rows)
+        path = tmp_path / "batch.csv"
+        write_table(table, path)
+        assert load_table(path, table_schema(table)) == table
+
+    def test_text_cells_equal_to_default_tokens_round_trip(self, tmp_path):
+        columns = (Column("machine", ColumnKind.CATEGORICAL), Column("lot", ColumnKind.IDENTIFIER))
+        texts = sorted(DEFAULT_MISSING_TOKENS - {""})
+        rows = tuple(Row(batch_key(f"b{i}"), (t, t)) for i, t in enumerate(texts))
+        table = Table(BATCH, columns, rows + (Row(batch_key("bm"), (MISSING, "x")),))
         path = tmp_path / "batch.csv"
         write_table(table, path)
         assert load_table(path, table_schema(table)) == table
@@ -216,3 +315,182 @@ class TestNonFiniteNumerics:
         config = write_csv(tmp_path, json.dumps(doc), "config.json")
         assert main(["analyze", "--config", str(config)]) == 2
         assert "'nan'" in capsys.readouterr().err
+
+
+TIMESTAMP = "%Y-%m-%d %H:%M"
+
+
+def reference_load(path, schema):
+    """Row-at-a-time loader written from load_table's docstring: the first
+    defect in row order, and within a row width, keys, then data columns."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        header, *records = list(csv.reader(handle))
+    position = {}
+    for i, name in enumerate(header):
+        position.setdefault(name, i)
+    needed = list(schema.key_columns) + [c.name for c in schema.columns]
+    width = 1 + max(position[name] for name in needed)
+    rows = []
+    for number, record in enumerate(records, 1):
+        if len(record) < width:
+            raise ParseError(
+                f"{path}: row {number} has {len(record)} fields, expected at least {width}"
+            )
+        ids = [record[position[name]] for name in schema.key_columns]
+        for name, value in zip(schema.key_columns, ids):
+            if value == "" or value in schema.missing_tokens:
+                raise ParseError(f"{path}: row {number}: key column {name} is missing")
+        cells = []
+        for column in schema.columns:
+            text = record[position[column.name]]
+            where = f"row {number}, column {column.name}: cannot parse {text!r} as"
+            if text in schema.missing_tokens:
+                cells.append(MISSING)
+            elif column.kind is ColumnKind.NUMERIC:
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ParseError(f"{where} a finite number")
+                cells.append(value)
+            elif column.kind is ColumnKind.TIMESTAMP:
+                try:
+                    cells.append(datetime.strptime(text, TIMESTAMP))
+                except ValueError:
+                    raise ParseError(f"{where} {TIMESTAMP!r}") from None
+            else:
+                cells.append(text)
+        rows.append(Row(EntityKey(schema.level, *ids), tuple(cells)))
+    return Table(schema.level, schema.columns, tuple(rows))
+
+
+TOKEN_SETS = [DEFAULT_MISSING_TOKENS, frozenset({"NA"}), frozenset({"-", "null", ""})]
+
+
+def random_input(rng, all_kinds=False):
+    """A valid random CSV of more than two blocks of rows, its schema, header
+    and records. The header is shuffled and carries extra columns."""
+    level = GranularityLevel(rng.randint(0, 3))
+    tokens = rng.choice(TOKEN_SETS)
+    kinds = list(ColumnKind)
+    if not all_kinds:
+        kinds = [rng.choice(kinds) for _ in range(rng.randint(0, 4))]
+    columns = tuple(Column(f"c{j}", kind) for j, kind in enumerate(kinds))
+    extras = [f"extra{j}" for j in range(rng.randint(0, 2))]
+    header = [*level.key_fields, *(c.name for c in columns), *extras]
+    rng.shuffle(header)
+
+    def cell(name):
+        if name in level.key_fields:
+            return f"{name[0]}{rng.randint(0, 9)}"
+        if name.startswith("extra"):
+            return rng.choice(["", "NA", "1", "x,y"])
+        if rng.random() < 0.05:
+            return rng.choice(sorted(tokens))
+        kind = columns[int(name[1:])].kind
+        if kind is ColumnKind.NUMERIC:
+            return rng.choice([repr(rng.uniform(-1e3, 1e3)), str(rng.randint(-9, 9)), "1e-300", " 2.5"])
+        if kind is ColumnKind.TIMESTAMP:
+            day = datetime(1990, 1, 1) + (datetime(2030, 1, 1) - datetime(1990, 1, 1)) * rng.random()
+            return day.strftime(TIMESTAMP)
+        return rng.choice(["a", "NA", "na", "?", "", "two words", "x,y", 'say "hi"'])
+
+    n = 2 * ingest._BLOCK_ROWS + rng.randint(1, ingest._BLOCK_ROWS)
+    records = [[cell(name) for name in header] for _ in range(n)]
+    return TableSchema(level, level.key_fields, columns, tokens), header, records
+
+
+def write_records(path, header, records):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, *records])
+    return path
+
+
+def parse_error(load, path, schema):
+    with pytest.raises(ParseError) as caught:
+        load(path, schema)
+    return str(caught.value)
+
+
+class TestBlockLoaderAgainstReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_valid_files_load_as_the_reference_loads_them(self, tmp_path, seed):
+        rng = random.Random(seed)
+        schema, header, records = random_input(rng)
+        path = write_records(tmp_path / "t.csv", header, records)
+        table = load_table(path, schema)
+        assert table == reference_load(path, schema)
+        assert len(table) == len(records)
+
+    @pytest.mark.parametrize("defect", ["short row", "missing key", "bad number", "nan", "bad timestamp"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_defect_gives_the_reference_error(self, tmp_path, defect, seed):
+        rng = random.Random(f"{defect} {seed}")
+        schema, header, records = random_input(rng, all_kinds=True)
+        # odd seeds put the defect in any row, even seeds past the first block
+        row = rng.randint(ingest._BLOCK_ROWS * (1 - seed % 2), len(records) - 1)
+        record = records[row]
+        position = {name: i for i, name in enumerate(header)}
+        needed = list(schema.key_columns) + [c.name for c in schema.columns]
+        if defect == "short row":
+            records[row] = record[: rng.randint(0, max(position[name] for name in needed))]
+        elif defect == "missing key":
+            key = rng.choice(schema.key_columns)
+            record[position[key]] = rng.choice(["", *sorted(schema.missing_tokens)])
+        elif defect == "bad number":
+            record[position["c0"]] = rng.choice(["12..5", "abc", "1,5"])
+        elif defect == "nan":
+            record[position["c0"]] = rng.choice(["nan", "-inf", "Infinity", "1e999"])
+        else:
+            record[position["c2"]] = "02/01/1990 07:30"
+        path = write_records(tmp_path / "t.csv", header, records)
+        expected = parse_error(reference_load, path, schema)
+        assert f"row {row + 1}" in expected
+        assert parse_error(load_table, path, schema) == expected
+
+
+class TestDefectOrder:
+    """With several defects, the first block that has one is reported, and in
+    it: a short row, then a missing key (key columns in schema order), then
+    a bad cell (data columns in schema order), each at its first row."""
+
+    SCHEMA = TableSchema(
+        GranularityLevel.WAFER,
+        ("batch_id", "wafer_id"),
+        (Column("x", ColumnKind.NUMERIC), Column("ts", ColumnKind.TIMESTAMP)),
+    )
+
+    def load(self, tmp_path, defects):
+        b = ingest._BLOCK_ROWS
+        records = [[f"b{i}", "w1", "1.5", "1990-01-02 07:30"] for i in range(3 * b)]
+        for row, column, text in defects:
+            if column is None:
+                records[row - 1] = records[row - 1][:2]
+            else:
+                records[row - 1][column] = text
+        path = write_records(tmp_path / "t.csv", ["batch_id", "wafer_id", "x", "ts"], records)
+        return parse_error(load_table, path, self.SCHEMA)
+
+    def test_documented_order(self, tmp_path):
+        b = ingest._BLOCK_ROWS
+        in_second_block = [
+            (b + 2, 3, "soon"),  # ts, the second data column
+            (b + 4, 2, "abc"),  # x, the first data column
+            (b + 6, 1, ""),  # wafer_id, the second key column
+            (b + 8, 0, "NA"),  # batch_id, the first key column
+            (b + 10, None, None),  # a short row
+        ]
+        in_third_block = [(2 * b + 1, None, None)]
+        path = f"{tmp_path / 't.csv'}"
+        expected = [
+            f"{path}: row {b + 10} has 2 fields, expected at least 4",
+            f"{path}: row {b + 8}: key column batch_id is missing",
+            f"{path}: row {b + 6}: key column wafer_id is missing",
+            f"row {b + 4}, column x: cannot parse 'abc' as a finite number",
+            f"row {b + 2}, column ts: cannot parse 'soon' as '%Y-%m-%d %H:%M'",
+            f"{path}: row {2 * b + 1} has 2 fields, expected at least 4",
+        ]
+        for fixed in range(len(in_second_block) + 1):
+            defects = in_second_block[: len(in_second_block) - fixed] + in_third_block
+            assert self.load(tmp_path, defects) == expected[fixed]

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SITE, build_hierarchy
 from test_golden import X_RULE, csv_config, write_shuffled_csvs
 from yieldtree.cli import main
 from yieldtree.errors import UsageError
-from yieldtree.pipeline import config_from_dict, run_pipeline
+from yieldtree.model import Column, ColumnKind, Table
+from yieldtree.pipeline import ScreenSettings, _screen_dataset, config_from_dict, run_pipeline
 from yieldtree.synthfab import scenario_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -435,6 +437,14 @@ class TestScreensAndCascade:
         assert screens["missing_dropped"]["batch"] == 1
         assert screens["orphans_pruned"]["wafer"] == 1
         assert len(result.analysis) == 1
+
+    def test_clean_dataset_keeps_its_tables(self):
+        dataset = build_hierarchy({"b1": {"w1": [1.0, 2.0], "w2": [3.0]}, "b2": {"w1": [4.0]}})
+        limited = (Column("x", ColumnKind.NUMERIC, sensor_limits=(0.0, 5.0)),)
+        dataset = dataset.with_table(Table(SITE, limited, dataset.tables[SITE].rows))
+        screened, stats = _screen_dataset(dataset, ScreenSettings())
+        assert stats["limit_flags"] == 0
+        assert all(screened.tables[level] is dataset.tables[level] for level in dataset.levels)
 
 
 class TestExitCodes:
