@@ -39,7 +39,6 @@ from .induce import (
     evaluate,
     extract_rules,
     predict,
-    predict_table,
     render_report,
     train,
 )

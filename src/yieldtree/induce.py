@@ -13,6 +13,9 @@ stable sort of range(n) is the stable sort of the child's rows, which are in
 ascending index order, so rows with equal values still scan in row order and
 candidate order, tie-breaks and every float expression are those of sorting
 each node's rows afresh.
+
+No function here is a closure that calls itself: that is a reference cycle,
+and run_pipeline pauses the cyclic collector that would free it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Any, Mapping, Sequence
 from .errors import DataError, UsageError
 from .features import SEQUENTIAL_COLUMN, TimeEncodingSpec, TimeMode, decode_sequential
 from .ingest import format_timestamp
-from .model import Column, ColumnKind, LabeledDataset, Table, is_missing
+from .model import Column, ColumnKind, LabeledDataset, is_missing
 
 
 @dataclass(frozen=True)
@@ -112,25 +115,6 @@ class DecisionTree:
         return out
 
     def to_dict(self) -> dict:
-        def encode(node: TreeNode) -> dict:
-            doc: dict[str, Any] = {
-                "counts": list(node.counts),
-                "depth": node.depth,
-            }
-            if node.is_leaf:
-                doc["leaf"] = True
-                doc["class"] = node.predicted_class
-            else:
-                doc["leaf"] = False
-                doc["test"] = {
-                    "column": node.test.column,
-                    "op": "le" if node.test.is_numeric else "eq",
-                    "value": node.test.threshold if node.test.is_numeric else node.test.category,
-                }
-                doc["true"] = encode(node.true_child)
-                doc["false"] = encode(node.false_child)
-            return doc
-
         return {
             "config": {
                 "max_depth": self.config.max_depth,
@@ -140,33 +124,51 @@ class DecisionTree:
             "columns": [
                 {"name": c.name, "kind": c.kind.name.lower()} for c in self.feature_columns
             ],
-            "root": encode(self.root),
+            "root": _encode_node(self.root),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionTree":
-        def decode(node_doc: dict, depth: int) -> TreeNode:
-            counts = (node_doc["counts"][0], node_doc["counts"][1])
-            if node_doc["leaf"]:
-                return TreeNode(counts, depth)
-            test_doc = node_doc["test"]
-            if test_doc["op"] == "le":
-                test = SplitTest(test_doc["column"], threshold=test_doc["value"])
-            else:
-                test = SplitTest(test_doc["column"], category=test_doc["value"])
-            return TreeNode(
-                counts,
-                depth,
-                test,
-                decode(node_doc["true"], depth + 1),
-                decode(node_doc["false"], depth + 1),
-            )
-
         config = TrainConfig(**doc["config"])
         columns = tuple(
             Column(c["name"], ColumnKind[c["kind"].upper()]) for c in doc["columns"]
         )
-        return cls(decode(doc["root"], 0), config, columns)
+        return cls(_decode_node(doc["root"], 0), config, columns)
+
+
+def _encode_node(node: TreeNode) -> dict:
+    doc: dict[str, Any] = {"counts": list(node.counts), "depth": node.depth}
+    if node.is_leaf:
+        doc["leaf"] = True
+        doc["class"] = node.predicted_class
+    else:
+        doc["leaf"] = False
+        doc["test"] = {
+            "column": node.test.column,
+            "op": "le" if node.test.is_numeric else "eq",
+            "value": node.test.threshold if node.test.is_numeric else node.test.category,
+        }
+        doc["true"] = _encode_node(node.true_child)
+        doc["false"] = _encode_node(node.false_child)
+    return doc
+
+
+def _decode_node(node_doc: dict, depth: int) -> TreeNode:
+    counts = (node_doc["counts"][0], node_doc["counts"][1])
+    if node_doc["leaf"]:
+        return TreeNode(counts, depth)
+    test_doc = node_doc["test"]
+    if test_doc["op"] == "le":
+        test = SplitTest(test_doc["column"], threshold=test_doc["value"])
+    else:
+        test = SplitTest(test_doc["column"], category=test_doc["value"])
+    return TreeNode(
+        counts,
+        depth,
+        test,
+        _decode_node(node_doc["true"], depth + 1),
+        _decode_node(node_doc["false"], depth + 1),
+    )
 
 
 def _gini(n0: int, n1: int) -> float:
@@ -284,48 +286,55 @@ def train(data: LabeledDataset, config: TrainConfig = TrainConfig()) -> Decision
         column_values[column.name] = values
     labels = data.labels
     all_rows = list(range(len(labels)))
-    flags = bytearray(len(labels))  # split outcome of each row of the node being split
-
-    def build(rows: list[int], sorted_rows: dict[str, list[int]], depth: int) -> TreeNode:
-        n1 = sum(labels[i] for i in rows)
-        counts = (len(rows) - n1, n1)
-        if (
-            n1 in (0, len(rows))
-            or depth >= config.max_depth
-            or len(rows) < 2 * config.min_leaf
-        ):
-            return TreeNode(counts, depth)
-        found = _best_split(columns, column_values, rows, sorted_rows, labels, config.min_leaf)
-        if found is None or found[0] < config.min_gain:
-            return TreeNode(counts, depth)
-        gain, test = found
-        values = column_values[test.column]
-        for i in rows:
-            flags[i] = test.passes(values[i])
-        true_rows, false_rows = _partition(rows, flags)
-        true_sorted: dict[str, list[int]] = {}
-        false_sorted: dict[str, list[int]] = {}
-        for name, order in sorted_rows.items():
-            true_sorted[name], false_sorted[name] = _partition(order, flags)
-        # the children own their slices now; freeing this node's keeps the lists
-        # alive along the recursion path disjoint, at most n rows per column
-        sorted_rows.clear()
-        return TreeNode(
-            counts,
-            depth,
-            test,
-            build(true_rows, true_sorted, depth + 1),
-            build(false_rows, false_sorted, depth + 1),
-        )
-
     # the one sort per numeric column: stable, so equal values keep row order
     root_sorted = {
         c.name: sorted(all_rows, key=column_values[c.name].__getitem__)
         for c in columns
         if c.kind is ColumnKind.NUMERIC
     }
-    root = build(all_rows, root_sorted, 0)
-    return DecisionTree(root, config, columns)
+    shared = (columns, column_values, labels, bytearray(len(labels)), config)
+    return DecisionTree(_build(all_rows, root_sorted, 0, *shared), config, columns)
+
+
+def _build(
+    rows: list[int],
+    sorted_rows: dict[str, list[int]],
+    depth: int,
+    columns: Sequence[Column],
+    column_values: Mapping[str, list[Any]],
+    labels: Sequence[int],
+    flags: bytearray,
+    config: TrainConfig,
+) -> TreeNode:
+    """The subtree over rows. The arguments after depth are train's, shared by
+    every node; flags holds the split outcome of each row of the node being split."""
+    n1 = sum(labels[i] for i in rows)
+    counts = (len(rows) - n1, n1)
+    if n1 in (0, len(rows)) or depth >= config.max_depth or len(rows) < 2 * config.min_leaf:
+        return TreeNode(counts, depth)
+    found = _best_split(columns, column_values, rows, sorted_rows, labels, config.min_leaf)
+    if found is None or found[0] < config.min_gain:
+        return TreeNode(counts, depth)
+    gain, test = found
+    values = column_values[test.column]
+    for i in rows:
+        flags[i] = test.passes(values[i])
+    true_rows, false_rows = _partition(rows, flags)
+    true_sorted: dict[str, list[int]] = {}
+    false_sorted: dict[str, list[int]] = {}
+    for name, order in sorted_rows.items():
+        true_sorted[name], false_sorted[name] = _partition(order, flags)
+    # the children own their slices now; freeing this node's keeps the lists
+    # alive along the recursion path disjoint, at most n rows per column
+    sorted_rows.clear()
+    shared = (columns, column_values, labels, flags, config)
+    return TreeNode(
+        counts,
+        depth,
+        test,
+        _build(true_rows, true_sorted, depth + 1, *shared),
+        _build(false_rows, false_sorted, depth + 1, *shared),
+    )
 
 
 def predict(tree: DecisionTree, row: Mapping[str, Any]) -> int:
@@ -339,10 +348,6 @@ def predict(tree: DecisionTree, row: Mapping[str, Any]) -> int:
             raise DataError(f"tested cell {node.test.column!r} is missing")
         node = node.true_child if node.test.passes(value) else node.false_child
     return node.predicted_class
-
-
-def predict_table(tree: DecisionTree, table: Table) -> list[int]:
-    return [predict(tree, table.row_mapping(row)) for row in table.rows]
 
 
 @dataclass(frozen=True)
@@ -376,17 +381,15 @@ def extract_rules(tree: DecisionTree) -> list[Rule]:
     """One rule per class-1 leaf, ordered by descending confidence then
     descending support."""
     rules: list[Rule] = []
-
-    def walk(node: TreeNode, path: tuple[Condition, ...]) -> None:
-        if node.is_leaf:
-            if node.predicted_class == 1:
-                support = node.counts[0] + node.counts[1]
-                rules.append(Rule(path, support, node.counts[1] / support))
-            return
-        walk(node.true_child, path + (Condition(node.test, False),))
-        walk(node.false_child, path + (Condition(node.test, True),))
-
-    walk(tree.root, ())
+    stack: list[tuple[TreeNode, tuple[Condition, ...]]] = [(tree.root, ())]
+    while stack:  # depth-first, true branch first
+        node, path = stack.pop()
+        if not node.is_leaf:
+            stack.append((node.false_child, path + (Condition(node.test, True),)))
+            stack.append((node.true_child, path + (Condition(node.test, False),)))
+        elif node.predicted_class == 1:
+            support = node.counts[0] + node.counts[1]
+            rules.append(Rule(path, support, node.counts[1] / support))
     rules.sort(key=lambda r: (-r.confidence, -r.support))
     return rules
 

@@ -89,8 +89,8 @@ def read_json(path: Path, what: str) -> Any:
             return json.load(handle)
     except FileNotFoundError:
         raise UsageError(f"{what} file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{what} file {path} is not valid UTF-8 JSON: {exc}") from None
 
 
 def write_json(doc: Any, path: Path) -> None:

@@ -9,6 +9,7 @@ every stage is deterministic.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -399,7 +400,25 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
 
     report_only stops after the analyst-facing reports (histogram, series,
     correlation, threshold preview): no labeling, training, rules or tree.
+
+    The run pauses the cyclic garbage collector (for every thread) and
+    restores the caller's setting on return or raise. The pipeline's data
+    hold no reference cycles, so reference counting frees them. Survivors
+    join the oldest generation unwalked unless the caller froze objects.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_pipeline(config, report_only)
+    finally:
+        if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
+
+
+def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
     # --- input
     if config.scenario is not None:
         dataset = synthfab.generate(config.scenario)

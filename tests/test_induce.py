@@ -16,7 +16,6 @@ from yieldtree.induce import (
     evaluate,
     extract_rules,
     predict,
-    predict_table,
     render_report,
     train,
 )
@@ -289,7 +288,8 @@ class TestPredict:
         labels = [0, 0, 1, 1]
         data = numeric_dataset(values, labels)
         tree = train(data, LOOSE)
-        assert predict_table(tree, data.features) == labels
+        table = data.features
+        assert [predict(tree, table.row_mapping(row)) for row in table.rows] == labels
 
     def test_missing_tested_cell_is_error(self):
         tree = train(numeric_dataset([1.0, 2.0, 9.0, 10.0], [0, 0, 1, 1]), LOOSE)

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import re
 from pathlib import Path
@@ -6,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from conftest import SITE, build_hierarchy
-from test_golden import X_RULE, csv_config, write_shuffled_csvs
+from test_golden import X_RULE, csv_config, scenario_config, write_shuffled_csvs
 from yieldtree.cli import main
-from yieldtree.errors import UsageError
+from yieldtree.errors import AnalysisError, UsageError
 from yieldtree.model import Column, ColumnKind, Table
 from yieldtree.pipeline import ScreenSettings, _screen_dataset, config_from_dict, run_pipeline
 from yieldtree.synthfab import scenario_from_dict
@@ -546,6 +547,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"input": "\xff"}')
+        assert main(["analyze", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid UTF-8 JSON" in err
+        assert "Traceback" not in err
+
+    def test_scenario_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"seed": 1, "n_batches": "\xff"}')
+        assert main(["generate", "--scenario", str(path), "--out", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid UTF-8 JSON" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
     def test_bad_cli_arguments_exit_one(self, capsys):
         assert main(["analyze"]) == 1
         assert main(["not-a-command"]) == 1
@@ -625,3 +643,60 @@ class TestRejectRateComputedOnce:
         doc["targets"] = [{"name": "x_any", "problem": rule, "strategy": "median", "direction": "above"}]
         run_config(doc, tmp_path)
         assert [c.min_count for c in calls] == [2, 1]
+
+
+class TestCollectorPause:
+    """run_pipeline pauses the cyclic collector and hands back the caller's
+    state; that is safe only while a run makes no reference cycles."""
+
+    @pytest.fixture
+    def collector(self):
+        """Sets the collector on or off for the test and restores it afterwards."""
+        enabled = gc.isenabled()
+        yield lambda on: gc.enable() if on else gc.disable()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, tmp_path, collector, enabled):
+        collector(enabled)
+        run_config(base_config(tmp_path / "out", n_batches=30))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored_when_the_run_raises(self, tmp_path, collector, enabled):
+        write_shuffled_csvs(tmp_path / "data")
+        doc = csv_config()
+        doc["targets"] = [{"name": "x_problem", "problem": X_RULE, "strategy": "median",
+                           "direction": "above", "grey_half_width": 2.0}]
+        collector(enabled)
+        with pytest.raises(AnalysisError, match="deleted every class-0 row"):
+            run_config(doc, tmp_path)
+        assert gc.isenabled() is enabled
+
+    def test_objects_the_caller_froze_stay_frozen(self, tmp_path):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_config(base_config(tmp_path / "out", n_batches=30))
+            assert frozen > 0 and gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_a_run_leaves_no_yieldtree_object_in_a_cycle(self, tmp_path):
+        gc.collect()  # garbage from before the run is freed, not saved
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            run_config(scenario_config(), tmp_path)
+            gc.collect()
+            cyclic = [
+                obj for obj in gc.garbage
+                if str(getattr(obj, "__module__", "")).startswith("yieldtree")
+            ]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert cyclic == []
