@@ -98,7 +98,6 @@ from .target import (
     apply_grey_region,
     histogram,
     label_by_threshold,
-    make_problem_target,
     threshold_median,
     threshold_valley,
     yield_series,

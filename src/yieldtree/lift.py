@@ -1,8 +1,9 @@
 """Granularity changes: summary-statistic lifting, rejection-rate lifting,
 and downward broadcast of coarse values.
 
-Both lifts reduce groups in sorted-key order, so results are identical no
-matter how callers schedule the work.
+Both lifts read the groups of `model.group_by_ancestor`, whose rows keep
+input order: `lift_stats` emits rows in ascending key order and
+`lift_reject_rate` in batch-table order.
 """
 
 from __future__ import annotations
@@ -11,18 +12,18 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import DataError, UsageError
 from .model import (
+    MISSING,
     Column,
     ColumnKind,
+    EntityKey,
     GranularityLevel,
     HierarchicalDataset,
     Row,
     Table,
     group_by_ancestor,
-    is_missing,
 )
 
 
@@ -74,12 +75,17 @@ def _group_stats(values: list[float]) -> tuple[float, float, float, float, float
     return mean, std, median, min(values), max(values)
 
 
-def _target_keys(dataset: HierarchicalDataset, to_level: GranularityLevel, groups) -> list:
-    """Entities the lifted table must cover: the to_level table's keys when
-    that table is present, else the distinct ancestor keys seen in the data."""
-    if to_level in dataset.tables:
-        return [row.key for row in dataset.tables[to_level].rows]
-    return [g.key for g in groups]
+def _present_values(
+    table: Table, parameter: str, ancestor_level: GranularityLevel
+) -> dict[EntityKey, list[float]]:
+    """The present values of numeric column `parameter` under each ancestor."""
+    if table.column(parameter).kind is not ColumnKind.NUMERIC:
+        raise UsageError(f"parameter {parameter!r} is not numeric")
+    i = table.column_index(parameter)
+    return {
+        key: [row.cells[i] for row in rows if row.cells[i] is not MISSING]
+        for key, rows in group_by_ancestor(table, ancestor_level).items()
+    }
 
 
 def lift_stats(
@@ -93,30 +99,20 @@ def lift_stats(
     Output has one row per to_level entity and columns
     ``<parameter>_{mean,std,median,min,max}``.
     """
-    if not from_level.is_finer_than(to_level):
+    if from_level <= to_level:
         raise UsageError(
             f"from_level {from_level.name} must be finer than to_level {to_level.name}"
         )
-    source = dataset.table(from_level)
-    column = source.column(parameter)
-    if column.kind is not ColumnKind.NUMERIC:
-        raise UsageError(f"parameter {parameter!r} is not numeric")
-
-    value_index = source.column_index(parameter)
-    groups = group_by_ancestor(source, to_level)
-    by_key = {g.key: g for g in groups}
+    values_by_key = _present_values(dataset.table(from_level), parameter, to_level)
+    to_table = dataset.tables.get(to_level)
+    keys = values_by_key if to_table is None else [row.key for row in to_table.rows]
 
     new_columns = tuple(
         Column(f"{parameter}_{suffix}", ColumnKind.NUMERIC) for suffix in STAT_SUFFIXES
     )
     rows = []
-    for key in sorted(_target_keys(dataset, to_level, groups)):
-        group = by_key.get(key)
-        values = (
-            [row.cells[value_index] for row in group.rows if not is_missing(row.cells[value_index])]
-            if group
-            else []
-        )
+    for key in sorted(keys):
+        values = values_by_key.get(key)
         if not values:
             raise DataError(
                 f"no {parameter!r} measurements under {to_level.name} entity {key}"
@@ -131,47 +127,34 @@ def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table
     batch with no measured wafer is a DataError.
 
     The output has one row per batch-table row, in batch-table order, so its
-    values align with any table that keeps that order. The percentage is
-    computed in exact rational arithmetic and rendered as a float at the end.
+    values align with any table that keeps that order. The percentage is the
+    correctly rounded float of the exact ratio.
     """
     for level in (GranularityLevel.BATCH, GranularityLevel.WAFER, GranularityLevel.SITE):
         if level not in dataset.tables:
             raise UsageError(f"Method B needs a {level.name} table")
-    site = dataset.table(GranularityLevel.SITE)
-    wafer = dataset.table(GranularityLevel.WAFER)
-    if site.column(rule.parameter).kind is not ColumnKind.NUMERIC:
-        raise UsageError(f"parameter {rule.parameter!r} is not numeric")
-
-    value_index = site.column_index(rule.parameter)
-    sites_by_wafer = {
-        g.key: g for g in group_by_ancestor(site, GranularityLevel.WAFER)
-    }
-    wafers_by_batch = {
-        g.key: g for g in group_by_ancestor(wafer, GranularityLevel.BATCH)
-    }
+    values_by_wafer = _present_values(
+        dataset.table(GranularityLevel.SITE), rule.parameter, GranularityLevel.WAFER
+    )
+    wafers_by_batch = group_by_ancestor(
+        dataset.table(GranularityLevel.WAFER), GranularityLevel.BATCH
+    )
 
     column = Column(rule.reject_rate_column(), ColumnKind.NUMERIC, units="percent")
     rows = []
-    for row in dataset.table(GranularityLevel.BATCH).rows:
-        batch_key = row.key
-        wafer_group = wafers_by_batch.get(batch_key)
-        if wafer_group is None:
+    for batch_key, _ in dataset.table(GranularityLevel.BATCH).rows:
+        wafer_rows = wafers_by_batch.get(batch_key)
+        if wafer_rows is None:
             raise DataError(f"batch {batch_key} has zero wafers")
         rejected = measured = 0
-        for wafer_row in wafer_group.rows:
-            site_group = sites_by_wafer.get(wafer_row.key)
-            values = (
-                [r.cells[value_index] for r in site_group.rows if not is_missing(r.cells[value_index])]
-                if site_group
-                else []
-            )
+        for wafer_row in wafer_rows:
+            values = values_by_wafer.get(wafer_row.key)
             if values:
                 measured += 1
                 rejected += rule.wafer_rejected(values)
         if not measured:
             raise DataError(f"no {rule.parameter!r} measurements under batch {batch_key}")
-        rate = Fraction(100 * rejected, measured)
-        rows.append(Row(batch_key, (float(rate),)))
+        rows.append(Row(batch_key, (100 * rejected / measured,)))
     return Table(GranularityLevel.BATCH, (column,), tuple(rows))
 
 
@@ -185,7 +168,7 @@ def broadcast_down(
 
     A missing ancestor value broadcasts the missing marker.
     """
-    if not from_level.is_coarser_than(to_level):
+    if from_level >= to_level:
         raise UsageError(
             f"from_level {from_level.name} must be coarser than to_level {to_level.name}"
         )

@@ -23,12 +23,6 @@ class GranularityLevel(IntEnum):
     SITE = 2
     IC = 3
 
-    def is_coarser_than(self, other: "GranularityLevel") -> bool:
-        return self < other
-
-    def is_finer_than(self, other: "GranularityLevel") -> bool:
-        return self > other
-
     @property
     def key_fields(self) -> tuple[str, ...]:
         """Identifier field names a key at this level must carry."""
@@ -382,18 +376,15 @@ def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
     return ValidationReport(tuple(orphans), tuple(duplicates))
 
 
-class Group(NamedTuple):
-    key: EntityKey
-    rows: tuple[Row, ...]
+def group_by_ancestor(
+    table: Table, ancestor_level: GranularityLevel
+) -> dict[EntityKey, tuple[Row, ...]]:
+    """Map each ancestor key at a strictly coarser level to its rows.
 
-
-def group_by_ancestor(table: Table, ancestor_level: GranularityLevel) -> list[Group]:
-    """Partition rows by their ancestor key at a strictly coarser level.
-
-    Groups come back sorted by ancestor ids, rows in input order within a
-    group, so downstream reductions are deterministic whatever the input order.
+    Keys come in ascending id order and rows in input order within a group,
+    so downstream reductions are deterministic whatever the input order.
     """
-    if not ancestor_level.is_coarser_than(table.level):
+    if ancestor_level >= table.level:
         raise UsageError(
             f"{ancestor_level.name} is not coarser than {table.level.name}"
         )
@@ -401,7 +392,7 @@ def group_by_ancestor(table: Table, ancestor_level: GranularityLevel) -> list[Gr
     buckets: dict[tuple[str, ...], list[Row]] = {}
     for row in table.rows:
         buckets.setdefault(row.key[:depth], []).append(row)
-    return [Group(_prefix_key(prefix), tuple(buckets[prefix])) for prefix in sorted(buckets)]
+    return {_prefix_key(prefix): tuple(buckets[prefix]) for prefix in sorted(buckets)}
 
 
 def join_tables(left: Table, right: Table) -> Table:

@@ -52,6 +52,7 @@ from .model import (
     HierarchicalDataset,
     LabeledDataset,
     Table,
+    is_missing,
     join_tables,
     validate_hierarchy,
 )
@@ -456,6 +457,16 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
         raise UsageError(
             f"features.exclude names no analysis or input column: {', '.join(map(repr, unknown))}"
         )
+    # --- a column target reads a complete numeric analysis column
+    for t in (t for t in config.targets if t.problem is None):
+        source = t.spec.source_column
+        if not analysis.has_column(source):
+            raise UsageError(f"target {t.name!r}: {source!r} is not an analysis column")
+        if analysis.column(source).kind is not ColumnKind.NUMERIC:
+            raise UsageError(f"target {t.name!r}: source column {source!r} is not numeric")
+        gaps = [r.key for r, v in zip(analysis.rows, analysis.values(source)) if is_missing(v)]
+        if gaps:
+            raise DataError(f"target {t.name!r}: {source!r} is missing for batch {gaps[0]}")
     source_columns = {t.spec.source_column for t in config.targets}
     shielded = source_columns | set(config.feature_excludes)
     feature_table = analysis.without_columns(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from fractions import Fraction
 from typing import Any, Union
 
 from .errors import UsageError
@@ -283,7 +282,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
                 ic_key = EntityKey.from_ids((batch_id, wafer_id, site_ids[i % sites], ic_id))
                 ic_rows.append(Row(ic_key, (rng.uniform(0.0, 1.0),)))
 
-        batch_yield = float(Fraction(100 * accepted, scenario.wafers_per_batch))
+        batch_yield = 100 * accepted / scenario.wafers_per_batch
         batch_rows.append(
             Row(
                 batch_key,

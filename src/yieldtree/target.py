@@ -1,5 +1,6 @@
 """Target-class engineering: thresholding a continuous yield-like variable
-into a binary class, grey-region deletion, and per-problem targets.
+into a binary class and grey-region deletion. A per-problem target labels
+the rates of `lift.lift_reject_rate` with `apply_grey_region`.
 
 Equality at the threshold is always class 0; the grey region is the open
 interval (t - delta, t + delta).
@@ -16,14 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError, EmptyDatasetError, NoValleyError, UsageError
-from .lift import Direction, RejectionRule, lift_reject_rate
-from .model import (
-    GranularityLevel,
-    HierarchicalDataset,
-    LabeledDataset,
-    Table,
-    is_missing,
-)
+from .lift import Direction
+from .model import LabeledDataset, Table, is_missing
 
 DEFAULT_HISTOGRAM_BINS = 10
 
@@ -206,21 +201,6 @@ def apply_grey_region(
     if lost:
         raise EmptyDatasetError(f"{grey} deleted every class-{lost.pop()} row")
     return kept, len(labeled) - len(kept)
-
-
-def make_problem_target(
-    dataset: HierarchicalDataset,
-    rule: RejectionRule,
-    U: float,
-    direction: Direction = Direction.BELOW,
-    grey_half_width: float = 0.0,
-) -> LabeledDataset:
-    """Per-problem target: lift the rejection rate Y per batch, then label
-    batches by Y against U. Features are the batch table's columns."""
-    values = lift_reject_rate(dataset, rule).values(rule.reject_rate_column())
-    batch = dataset.table(GranularityLevel.BATCH)
-    labeled, _ = apply_grey_region(batch, values, U, grey_half_width, direction)
-    return labeled
 
 
 def write_histogram_csv(report: HistogramReport, path: str | Path) -> None:

@@ -116,15 +116,15 @@ def test_groups_and_their_order_match_reference(seed):
         for ancestor in dataset.levels:
             if ancestor < level:
                 table = dataset.tables[level]
-                groups = [(g.key, g.rows) for g in group_by_ancestor(table, ancestor)]
+                groups = list(group_by_ancestor(table, ancestor).items())
                 assert groups == reference_groups(table, ancestor)
 
 
 def test_groups_sorted_by_ids_whatever_the_input_order():
     table = random_dataset(random.Random(99)).tables[SITE]
     reversed_table = Table(SITE, table.columns, table.rows[::-1])
-    forward = [g.key for g in group_by_ancestor(table, WAFER)]
-    backward = [g.key for g in group_by_ancestor(reversed_table, WAFER)]
+    forward = list(group_by_ancestor(table, WAFER))
+    backward = list(group_by_ancestor(reversed_table, WAFER))
     assert forward == backward == sorted(forward, key=lambda k: k.ids)
 
 

@@ -564,6 +564,49 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize("source, message", [
+        ("machine", "source column 'machine' is not numeric"),
+        ("timestamp", "source column 'timestamp' is not numeric"),
+        ("rejected", "'rejected' is not an analysis column"),
+    ])
+    def test_column_target_without_a_numeric_analysis_column_exits_one(
+        self, tmp_path, capsys, command, source, message
+    ):
+        doc = base_config("out", n_batches=30)
+        doc["targets"] = [{"name": "t", "source_column": source}]
+        path = self.write_config(tmp_path, doc)
+        assert main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: target 't': ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # checked before any artifact is written
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_missing_target_value_exits_two_naming_the_first_batch(self, tmp_path, capsys, command):
+        (tmp_path / "batch.csv").write_text(
+            "batch_id,oven_temp,humidity,yield\n"
+            "b1,350,40,95\nb3,355,50,NA\nb2,360,45,NA\nb4,352,41,80\n",
+            encoding="utf-8",
+        )
+        doc = {
+            "input": {"csv": [{
+                "path": "batch.csv", "level": "batch", "key_columns": ["batch_id"],
+                "columns": [{"name": n, "kind": "numeric"} for n in ("oven_temp", "humidity", "yield")],
+                "missing_tokens": ["NA"],
+            }]},
+            "screens": {"drop_missing": False},
+            "targets": [{"name": "low_yield", "source_column": "yield", "strategy": "fixed",
+                         "threshold": 90.0}],
+            "outputs": {"dir": "out"},
+        }
+        path = self.write_config(tmp_path, doc)
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: target 'low_yield': 'yield' is missing for batch b3")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_cli_arguments_exit_one(self, capsys):
         assert main(["analyze"]) == 1
         assert main(["not-a-command"]) == 1

@@ -6,7 +6,7 @@ import pytest
 from conftest import BATCH, batch_key, build_hierarchy, numeric_table
 from oracles import histogram_oracle, valley_oracle
 from yieldtree.errors import DataError, EmptyDatasetError, NoValleyError, UsageError
-from yieldtree.lift import RejectionRule
+from yieldtree.lift import RejectionRule, lift_reject_rate
 from yieldtree.model import MISSING
 from yieldtree.target import (
     Direction,
@@ -15,7 +15,6 @@ from yieldtree.target import (
     apply_grey_region,
     histogram,
     label_by_threshold,
-    make_problem_target,
     threshold_median,
     threshold_valley,
     yield_series,
@@ -217,26 +216,34 @@ class TestGreyRegion:
             assert len(labeled) + deleted == n
 
 
+def problem_target(dataset, rule, U, direction=Direction.BELOW, grey_half_width=0.0):
+    """The library route to a per-problem target, the one the pipeline takes:
+    lift the rejection rate Y per batch, then label the batch table by Y against U."""
+    values = lift_reject_rate(dataset, rule).values(rule.reject_rate_column())
+    labeled, _ = apply_grey_region(dataset.table(BATCH), values, U, grey_half_width, direction)
+    return labeled
+
+
 class TestMakeProblemTarget:
     def test_all_wafers_pass_means_y_zero_all_labeled(self):
         dataset = build_hierarchy({"b1": {"w1": [1.0] * 5}, "b2": {"w1": [2.0] * 5}})
-        labeled = make_problem_target(dataset, RejectionRule("x", 10.0, 2), 50.0)
+        labeled = problem_target(dataset, RejectionRule("x", 10.0, 2), 50.0)
         assert labeled.labels == (1, 1)  # Y = 0 < 50 everywhere
 
     def test_worked_batch_labels_zero(self):
         wafers = {"w1": [11.0, 12.0, 1.0, 1.0, 1.0], "w2": [11.0, 1.0, 1.0, 1.0, 1.0], "w3": [11.0, 12.0, 13.0, 1.0, 1.0]}
         dataset = build_hierarchy({"b1": wafers})
-        labeled = make_problem_target(dataset, RejectionRule("x", 10.0, 2), 50.0, Direction.BELOW)
+        labeled = problem_target(dataset, RejectionRule("x", 10.0, 2), 50.0, Direction.BELOW)
         assert labeled.labels == (0,)  # Y = 66.67 is not below 50
 
     def test_u_above_max_saturates(self):
         dataset = build_hierarchy({"b1": {"w1": [11.0] * 5}})
-        labeled = make_problem_target(dataset, RejectionRule("x", 10.0, 2), 150.0)
+        labeled = problem_target(dataset, RejectionRule("x", 10.0, 2), 150.0)
         assert labeled.labels == (1,)
 
     def test_grey_half_width_composes(self):
         dataset = build_hierarchy({"b1": {"w1": [11.0] * 5}, "b2": {"w1": [1.0] * 5}})
         with pytest.raises(EmptyDatasetError):
-            make_problem_target(
+            problem_target(
                 dataset, RejectionRule("x", 10.0, 2), 50.0, grey_half_width=60.0
             )
