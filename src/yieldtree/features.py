@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from enum import Enum
+from itertools import repeat
+from operator import mul, sub
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import UsageError
 from .model import MISSING, Column, ColumnKind, Table, is_missing
@@ -144,18 +146,11 @@ class CorrelationReport:
         return self.matrix[i][j]
 
 
-def _pearson(xs: list[float], ys: list[float]) -> float | None:
-    n = len(xs)
-    if n < 2:
-        return None
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
-    if var_x == 0.0 or var_y == 0.0:
-        return None
-    return cov / math.sqrt(var_x * var_y)
+def _centred(values: Sequence[float]) -> tuple[list[float], float]:
+    """Deviations from the mean, and the sum of their squares."""
+    mean = sum(values) / len(values)
+    deviations = list(map(sub, values, repeat(mean)))
+    return deviations, sum(map(pow, deviations, repeat(2)))
 
 
 def correlation_table(
@@ -167,24 +162,19 @@ def correlation_table(
     Pairs with |r| >= flag_threshold are flagged; the later column of each
     flagged pair (schema order) and every constant column land in
     suggested_drops.
+
+    Columns without gaps are centred once; a pair with a gap centres the rows
+    where both are present. The builtin `sum` is compensated from CPython 3.12 on.
     """
     numeric = [c.name for c in table.columns if c.kind is ColumnKind.NUMERIC]
     if len(numeric) < 2:
         raise UsageError("correlation table needs at least 2 numeric columns")
     series = {name: table.values(name) for name in numeric}
-    complete = sum(
-        1
-        for i in range(len(table))
-        if all(not is_missing(series[name][i]) for name in numeric)
-    )
-    if complete < 2:
+    if sum(MISSING not in cells for cells in zip(*series.values())) < 2:
         raise UsageError("correlation table needs at least 2 complete rows")
 
-    constant = [
-        name
-        for name in numeric
-        if len({v for v in series[name] if not is_missing(v)}) <= 1
-    ]
+    constant = [name for name in numeric if len(set(series[name]) - {MISSING}) <= 1]
+    centred = {name: _centred(v) for name, v in series.items() if MISSING not in v}
 
     size = len(numeric)
     matrix: list[list[float | None]] = [[None] * size for _ in range(size)]
@@ -194,17 +184,22 @@ def correlation_table(
         if numeric[i] not in constant:
             matrix[i][i] = 1.0
         for j in range(i + 1, size):
-            pairs = [
-                (a, b)
-                for a, b in zip(series[numeric[i]], series[numeric[j]])
-                if not is_missing(a) and not is_missing(b)
-            ]
-            r = _pearson([p[0] for p in pairs], [p[1] for p in pairs])
+            a, b = numeric[i], numeric[j]
+            if a in centred and b in centred:
+                (dx, ssx), (dy, ssy) = centred[a], centred[b]
+            else:
+                present = [
+                    (x, y)
+                    for x, y in zip(series[a], series[b])
+                    if x is not MISSING and y is not MISSING
+                ]
+                (dx, ssx), (dy, ssy) = map(_centred, zip(*present))
+            r = sum(map(mul, dx, dy)) / math.sqrt(ssx * ssy) if ssx and ssy else None
             matrix[i][j] = matrix[j][i] = r
             if r is not None and abs(r) >= flag_threshold:
-                flagged.append((numeric[i], numeric[j], r))
-                if numeric[j] not in drops:
-                    drops.append(numeric[j])
+                flagged.append((a, b, r))
+                if b not in drops:
+                    drops.append(b)
 
     ordered_drops = tuple(name for name in numeric if name in drops)
     return CorrelationReport(

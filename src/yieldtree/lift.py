@@ -4,14 +4,18 @@ and downward broadcast of coarse values.
 Both lifts read the groups of `model.group_by_ancestor`, whose rows keep
 input order: `lift_stats` emits rows in ascending key order and
 `lift_reject_rate` in batch-table order.
+Per-value arithmetic runs in C builtins; the std is exact integer
+arithmetic rounded once, so its bytes do not depend on the CPython version.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import gt, lshift, lt, mul, sub
+from typing import Any, Callable
 
 from .errors import DataError, UsageError
 from .model import (
@@ -34,11 +38,13 @@ class Direction(str, Enum):
     BELOW = "below"
     ABOVE = "above"
 
+    @property
+    def compare(self) -> Callable[[Any, Any], bool]:
+        """Strict `lt` or `gt`: a value equal to the threshold is never beyond it."""
+        return lt if self is Direction.BELOW else gt
+
     def beyond(self, value: float, threshold: float) -> bool:
-        """Strict comparison: a value equal to the threshold is never beyond it."""
-        if self is Direction.BELOW:
-            return value < threshold
-        return value > threshold
+        return self.compare(value, threshold)
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class RejectionRule:
         return f"{self.parameter}_reject_pct"
 
     def wafer_rejected(self, site_values: list[float]) -> bool:
-        hits = sum(1 for v in site_values if self.comparator.beyond(v, self.threshold))
+        hits = sum(map(self.comparator.compare, site_values, repeat(self.threshold)))
         return hits >= self.min_count
 
 
@@ -69,10 +75,32 @@ STAT_SUFFIXES = ("mean", "std", "median", "min", "max")
 
 
 def _group_stats(values: list[float]) -> tuple[float, float, float, float, float]:
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    median = statistics.median(values)
-    return mean, std, median, min(values), max(values)
+    """Mean, sample std, median, min and max, as `statistics` gives them from
+    CPython 3.11 on. Each value is v = N * 2**(low - 53) with N an integer, so
+    the variance is (n*sum(N*N) - sum(N)**2) / (n*(n-1)) * 4**(low - 53); as in
+    `statistics`, its root is rounded to odd on 2*53+3 bits, then divided.
+    """
+    n = len(values)
+    ordered = sorted(values)
+    half = n // 2
+    median = ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2
+    std = 0.0
+    if n > 1:
+        mantissas, exponents = zip(*map(math.frexp, values))
+        low = min(exponents)
+        shifts = map(sub, exponents, repeat(low))
+        ints = list(map(lshift, map(int, map(math.ldexp, mantissas, repeat(53))), shifts))
+        total = sum(ints)
+        num = n * sum(map(mul, ints, ints)) - total * total
+        den = n * (n - 1)
+        q = (num.bit_length() - den.bit_length() - 109) // 2
+        num, den = (num << -2 * q, den) if q < 0 else (num, den << 2 * q)
+        root = math.isqrt(num // den)
+        root |= root * root * den != num
+        q += low - 53
+        std = root / (1 << -q) if q < 0 else float(root << q)
+    # max(), not ordered[-1]: of equal maxima (0.0 and -0.0) it keeps the first
+    return math.fsum(values) / n, std, median, ordered[0], max(values)
 
 
 def _present_values(

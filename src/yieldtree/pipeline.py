@@ -457,16 +457,24 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
         raise UsageError(
             f"features.exclude names no analysis or input column: {', '.join(map(repr, unknown))}"
         )
-    # --- a column target reads a complete numeric analysis column
-    for t in (t for t in config.targets if t.problem is None):
+    # --- every target's source values, before any artifact is written, in
+    # analysis-row (= batch-table) order; a lifted problem rule's column is reused
+    lifted_rules = {d for d in config.lifts if isinstance(d, lift.RejectionRule)}
+    target_values = []
+    for t in config.targets:
         source = t.spec.source_column
+        if t.problem is not None and t.problem not in lifted_rules:
+            target_values.append(lift.lift_reject_rate(dataset, t.problem).values(source))
+            continue
         if not analysis.has_column(source):
             raise UsageError(f"target {t.name!r}: {source!r} is not an analysis column")
         if analysis.column(source).kind is not ColumnKind.NUMERIC:
             raise UsageError(f"target {t.name!r}: source column {source!r} is not numeric")
-        gaps = [r.key for r, v in zip(analysis.rows, analysis.values(source)) if is_missing(v)]
+        values = analysis.values(source)
+        gaps = [r.key for r, v in zip(analysis.rows, values) if is_missing(v)]
         if gaps:
             raise DataError(f"target {t.name!r}: {source!r} is missing for batch {gaps[0]}")
+        target_values.append(values)
     source_columns = {t.spec.source_column for t in config.targets}
     shielded = source_columns | set(config.feature_excludes)
     feature_table = analysis.without_columns(
@@ -496,15 +504,13 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
 
     # --- targets
     time_column = _time_column(config.encodings, analysis)
-    lifted_rules = {d for d in config.lifts if isinstance(d, lift.RejectionRule)}
     target_results: dict[str, TargetResult] = {}
     target_meta = []
-    for directive in config.targets:
+    for directive, values in zip(config.targets, target_values):
         result = _run_target(
             directive,
-            dataset,
+            values,
             analysis,
-            lifted_rules,
             feature_table,
             encoding_specs,
             time_column,
@@ -558,9 +564,8 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
 
 def _run_target(
     directive: TargetDirective,
-    dataset: HierarchicalDataset,
+    values: list[float],
     analysis: Table,
-    lifted_rules: set[lift.RejectionRule],
     feature_table: Table,
     encoding_specs: list[feats.TimeEncodingSpec],
     time_column: str | None,
@@ -569,15 +574,7 @@ def _run_target(
     report_only: bool,
 ) -> TargetResult:
     artifacts: dict[str, str] = {}
-
-    # source values aligned with analysis rows, which keep batch-table order
-    # as lift_reject_rate does; a lifted problem rule's column is reused
     spec = directive.spec
-    if directive.problem is None or directive.problem in lifted_rules:
-        values = analysis.values(spec.source_column)
-    else:
-        values = lift.lift_reject_rate(dataset, directive.problem).values(spec.source_column)
-
     histogram_report = targeting.histogram(values, directive.histogram_bins)
     histogram_name = f"{directive.name}_histogram.csv"
     targeting.write_histogram_csv(histogram_report, output_dir / histogram_name)

@@ -208,6 +208,35 @@ class TestCorrelationTable:
         report = correlation_table(table)
         assert report.coefficient("a", "b") == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("gaps", [False, True])
+    def test_matrix_bit_equal_to_per_pair_reference(self, gaps):
+        rng = random.Random(11)
+        n = 300
+        named = {
+            "g": [rng.gauss(0.0, 1.0) for _ in range(n)],
+            "u": [rng.uniform(-1e6, 1e6) for _ in range(n)],
+            "i": [rng.randint(0, 23) for _ in range(n)],
+            "const": [2.5] * n,
+            "tiny": [rng.gauss(0.0, 1e-300) for _ in range(n)],
+        }
+        named["near_g"] = [v + rng.gauss(0.0, 0.05) for v in named["g"]]
+        if gaps:
+            for name in ("u", "near_g", "const"):
+                for row in rng.sample(range(n), 40):
+                    named[name][row] = MISSING
+        report = correlation_table(columns_table(named))
+        for i, a in enumerate(report.columns):
+            for j, b in enumerate(report.columns):
+                if i == j:
+                    continue
+                present = [
+                    (x, y)
+                    for x, y in zip(named[a], named[b])
+                    if not is_missing(x) and not is_missing(y)
+                ]
+                expected = pearson_oracle([x for x, _ in present], [y for _, y in present])
+                assert repr(report.matrix[i][j]) == repr(expected), (a, b)
+
     def test_preconditions(self):
         with pytest.raises(UsageError):
             correlation_table(columns_table({"a": [1.0, 2.0]}))

@@ -1,14 +1,21 @@
+import math
+import os
 import random
+import statistics
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import BATCH, SITE, WAFER, batch_key, build_hierarchy, random_hierarchy
-from oracles import reject_rate_oracle, stats_oracle
+from oracles import reject_rate_oracle, stats_oracle, wafer_rejected_oracle
 from yieldtree.errors import DataError, UsageError
 from yieldtree.lift import (
     Direction,
     RejectionRule,
+    _group_stats,
     broadcast_down,
     lift_reject_rate,
     lift_stats,
@@ -90,6 +97,73 @@ class TestLiftStats:
                 assert (std == 0.0) == (len(values) == 1)
 
 
+def exact_group(rng, size):
+    """A seeded group mixing ordinary, rounded, repeated, signed-zero,
+    subnormal and 1e+-300 values."""
+    special = [0.0, -0.0, 5e-324, -2.5e-320, 1e-300, -1e-300, 1e300, -1e300, 3.25]
+    group = []
+    for _ in range(size):
+        draw = rng.random()
+        if draw < 0.4:
+            group.append(rng.gauss(10.0, 3.0))
+        elif draw < 0.6:
+            group.append(round(rng.uniform(-50.0, 50.0), 2))
+        elif draw < 0.8:
+            group.append(rng.choice(special))
+        elif draw < 0.9 and group:
+            group.append(rng.choice(group))
+        else:
+            group.append(math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1070, 1000)))
+    return group
+
+
+def is_correctly_rounded_root(variance: Fraction, root: float) -> bool:
+    """root is sqrt(variance) rounded to nearest, ties to even: variance lies
+    between the squares of the midpoints to root's float neighbours."""
+    below = (Fraction(math.nextafter(root, 0.0)) + Fraction(root)) / 2 if root else Fraction(0)
+    above = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    if below * below < variance < above * above:
+        return True
+    even = (Fraction(root) / Fraction(math.ulp(root))) % 2 == 0
+    return even and variance in (below * below, above * above)
+
+
+class TestGroupStats:
+    GROUPS = [
+        exact_group(random.Random(seed), size)
+        for seed, size in enumerate([1, 2, 3, 5, 120] + list(range(1, 121, 3)) * 4)
+    ] + [[1e300, 1e-300, -1e300, 0.0], [7.5] * 9, [0.0, -0.0], [5e-324, 0.0]]
+
+    def test_equals_exact_oracle(self):
+        for values in self.GROUPS:
+            n = len(values)
+            ordered = sorted(values)
+            middle = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2
+            mean, std, median, lo, hi = _group_stats(values)
+            assert repr((mean, median, lo, hi)) == repr(
+                (math.fsum(values) / n, middle, min(values), max(values))
+            )
+            if n == 1:
+                assert std == 0.0
+                continue
+            exact = [Fraction(v) for v in values]
+            center = sum(exact) / n
+            variance = sum((v - center) ** 2 for v in exact) / (n - 1)
+            assert is_correctly_rounded_root(variance, std), values
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev rounds twice before 3.11")
+    def test_equals_statistics_bit_for_bit(self):
+        for values in self.GROUPS:
+            expected = (
+                statistics.fmean(values),
+                statistics.stdev(values) if len(values) > 1 else 0.0,
+                statistics.median(values),
+                min(values),
+                max(values),
+            )
+            assert repr(_group_stats(values)) == repr(expected)
+
+
 class TestLiftRejectRate:
     def test_worked_batch_from_oracle(self):
         wafers = [[11.0, 12.0, 1.0, 1.0, 1.0], [11.0, 1.0, 1.0, 1.0, 1.0], [11.0, 12.0, 13.0, 1.0, 1.0]]
@@ -120,6 +194,14 @@ class TestLiftRejectRate:
         rule = RejectionRule("x", 5.0, 2, Direction.BELOW)
         table = lift_reject_rate(dataset, rule)
         assert table.rows[0].cells[0] == 50.0
+
+    def test_wafer_rejected_counts_int_site_values(self):
+        sites = [9, 10, 11, 12, 3]
+        for direction, hits in ((Direction.ABOVE, 2), (Direction.BELOW, 2)):
+            for k in (1, hits, hits + 1):
+                rule = RejectionRule("x", 10.0, k, direction)
+                expected = wafer_rejected_oracle(sites, 10.0, k, direction is Direction.ABOVE)
+                assert rule.wafer_rejected(sites) == expected == (k <= hits)
 
     def test_wafer_without_values_is_left_out_of_the_rate(self):
         dataset = build_hierarchy({"b1": {"w1": [11.0, 12.0], "w2": [MISSING]}})
@@ -230,3 +312,11 @@ class TestBroadcastDown:
     def test_levels_must_be_coarser_to_finer(self):
         with pytest.raises(UsageError):
             broadcast_down(self._dataset(), "oven_temp", SITE, BATCH)
+
+
+def test_import_loads_neither_statistics_nor_fractions():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, yieldtree; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

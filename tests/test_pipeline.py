@@ -583,6 +583,20 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()  # checked before any artifact is written
 
     @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize("parameter", ["nope", "oven_temp"])
+    def test_problem_target_without_a_site_column_exits_one(
+        self, tmp_path, capsys, command, parameter
+    ):
+        doc = base_config("out", n_batches=30)
+        doc["targets"] = [{"name": "p", "problem": dict(X_RULE, parameter=parameter)}]
+        path = self.write_config(tmp_path, doc)
+        assert main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: no column '{parameter}' in SITE table")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # checked before any artifact is written
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_missing_target_value_exits_two_naming_the_first_batch(self, tmp_path, capsys, command):
         (tmp_path / "batch.csv").write_text(
             "batch_id,oven_temp,humidity,yield\n"
