@@ -2,23 +2,26 @@
 
 Cyclical encodings expose hour-of-day style patterns; the sequential
 encoding (whole minutes from a fixed epoch) exposes one-off events and is
-decoded back to a calendar timestamp for reporting.
+decoded back to a calendar timestamp for reporting. Every encoding, batch
+order included, appends its columns through `_derive`, which maps one source
+value per row and gives missing cells for a missing source.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from operator import mul, sub
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import UsageError
-from .model import MISSING, Column, ColumnKind, Table, is_missing
+from .ingest import write_csv
+from .model import MISSING, Column, ColumnKind, Table
 
 DEFAULT_EPOCH = datetime(1990, 1, 1, 0, 0)
 
@@ -38,7 +41,17 @@ class TimeMode(str, Enum):
 class TimeEncodingSpec:
     mode: TimeMode
     epoch: datetime = DEFAULT_EPOCH
-    holiday_dates: frozenset[date] = frozenset()
+
+
+def _derive(
+    table: Table, columns: Sequence[Column], values: Sequence[Any], cells: Callable[[Any], tuple]
+) -> Table:
+    """The table with columns appended whose cells are cells(value) of each
+    row's source value; a missing source value gives missing cells."""
+    blank = (MISSING,) * len(columns)
+    return table.with_added_columns(
+        columns, [blank if value is MISSING else cells(value) for value in values]
+    )
 
 
 def _cyclical_cells(ts: datetime, holidays: frozenset[date]) -> tuple[int, int, int, int, int]:
@@ -59,17 +72,9 @@ def encode_cyclical(
     """
     if table.column(time_column).kind is not ColumnKind.TIMESTAMP:
         raise UsageError(f"column {time_column!r} is not a timestamp")
-    holiday_set = frozenset(holidays)
-    index = table.column_index(time_column)
-    added = []
-    for row in table.rows:
-        ts = row.cells[index]
-        if is_missing(ts):
-            added.append((MISSING,) * len(CYCLICAL_COLUMNS))
-        else:
-            added.append(_cyclical_cells(ts, holiday_set))
     columns = [Column(name, ColumnKind.NUMERIC) for name in CYCLICAL_COLUMNS]
-    return table.with_added_columns(columns, added)
+    cells = partial(_cyclical_cells, holidays=frozenset(holidays))
+    return _derive(table, columns, table.values(time_column), cells)
 
 
 def encode_sequential(table: Table, time_column: str, spec: TimeEncodingSpec) -> Table:
@@ -78,16 +83,11 @@ def encode_sequential(table: Table, time_column: str, spec: TimeEncodingSpec) ->
         raise UsageError("encode_sequential needs a sequential TimeEncodingSpec")
     if table.column(time_column).kind is not ColumnKind.TIMESTAMP:
         raise UsageError(f"column {time_column!r} is not a timestamp")
-    index = table.column_index(time_column)
-    added = []
-    for row in table.rows:
-        ts = row.cells[index]
-        if is_missing(ts):
-            added.append((MISSING,))
-        else:
-            added.append(((ts - spec.epoch) // timedelta(minutes=1),))
     column = Column(SEQUENTIAL_COLUMN, ColumnKind.NUMERIC, units="minutes")
-    return table.with_added_columns([column], added)
+    minute = timedelta(minutes=1)
+    return _derive(
+        table, [column], table.values(time_column), lambda ts: ((ts - spec.epoch) // minute,)
+    )
 
 
 def decode_sequential(minutes: int, spec: TimeEncodingSpec) -> datetime:
@@ -95,6 +95,11 @@ def decode_sequential(minutes: int, spec: TimeEncodingSpec) -> datetime:
     if spec.mode is not TimeMode.SEQUENTIAL:
         raise UsageError("decode_sequential needs a sequential TimeEncodingSpec")
     return spec.epoch + timedelta(minutes=int(minutes))
+
+
+def _digit_order(value: str) -> tuple[Any]:
+    digits = "".join(ch for ch in value if ch.isdigit())
+    return (int(digits) if digits else MISSING,)
 
 
 def order_from_batch_id(table: Table, id_column: str) -> Table:
@@ -107,8 +112,7 @@ def order_from_batch_id(table: Table, id_column: str) -> Table:
     if table.has_column(id_column):
         if table.column(id_column).kind is not ColumnKind.IDENTIFIER:
             raise UsageError(f"column {id_column!r} is not identifier-kind")
-        index = table.column_index(id_column)
-        ids = [row.cells[index] for row in table.rows]
+        ids = table.values(id_column)
     elif id_column in table.level.key_fields:
         position = table.level.key_fields.index(id_column)
         ids = [row.key[position] for row in table.rows]
@@ -117,13 +121,7 @@ def order_from_batch_id(table: Table, id_column: str) -> Table:
             f"{id_column!r} is neither an identifier column nor a key field "
             f"of the {table.level.name} table"
         )
-
-    added = []
-    for value in ids:
-        digits = "" if is_missing(value) else "".join(ch for ch in value if ch.isdigit())
-        added.append((int(digits),) if digits else (MISSING,))
-    column = Column(BATCH_ORDER_COLUMN, ColumnKind.NUMERIC)
-    return table.with_added_columns([column], added)
+    return _derive(table, [Column(BATCH_ORDER_COLUMN, ColumnKind.NUMERIC)], ids, _digit_order)
 
 
 @dataclass(frozen=True)
@@ -230,13 +228,13 @@ def flag_correlated(report: CorrelationReport, table: Table) -> Table:
 def write_correlation_csv(report: CorrelationReport, path: str | Path) -> None:
     """Export all pairs as CSV with columns col_a, col_b, r, flagged."""
     flagged_set = {(a, b) for a, b, _ in report.flagged_pairs}
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["col_a", "col_b", "r", "flagged"])
-        for i, a in enumerate(report.columns):
-            for j in range(i + 1, len(report.columns)):
-                b = report.columns[j]
-                r = report.matrix[i][j]
-                writer.writerow(
-                    [a, b, "" if r is None else repr(r), int((a, b) in flagged_set)]
-                )
+    names = report.columns
+    write_csv(
+        path,
+        ["col_a", "col_b", "r", "flagged"],
+        (
+            [a, b, "" if r is None else repr(r), int((a, b) in flagged_set)]
+            for i, a in enumerate(names)
+            for b, r in zip(names[i + 1 :], report.matrix[i][i + 1 :])
+        ),
+    )

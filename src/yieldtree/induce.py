@@ -14,6 +14,8 @@ ascending index order, so rows with equal values still scan in row order and
 candidate order, tie-breaks and every float expression are those of sorting
 each node's rows afresh.
 
+`DecisionTree.leaves`, `tested_columns` and `extract_rules` read one tree walk.
+
 No function here is a closure that calls itself: that is a reference cycle,
 and run_pipeline pauses the cyclic collector that would free it.
 """
@@ -22,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .errors import DataError, UsageError
 from .features import SEQUENTIAL_COLUMN, TimeEncodingSpec, TimeMode, decode_sequential
 from .ingest import format_timestamp
-from .model import Column, ColumnKind, LabeledDataset, is_missing
+from .model import MISSING, Column, ColumnKind, LabeledDataset
 
 
 @dataclass(frozen=True)
@@ -93,26 +95,21 @@ class DecisionTree:
     config: TrainConfig
     feature_columns: tuple[Column, ...]
 
-    def leaves(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        stack = [self.root]
+    def _walk(self) -> Iterator[tuple[TreeNode, tuple[Condition, ...]]]:
+        """Every node and the conditions on its path, depth-first, true branch first."""
+        stack: list[tuple[TreeNode, tuple[Condition, ...]]] = [(self.root, ())]
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.extend((node.false_child, node.true_child))
-        return out
+            node, path = stack.pop()
+            yield node, path
+            if not node.is_leaf:
+                stack.append((node.false_child, path + (Condition(node.test, True),)))
+                stack.append((node.true_child, path + (Condition(node.test, False),)))
+
+    def leaves(self) -> list[TreeNode]:
+        return [node for node, _ in self._walk() if node.is_leaf]
 
     def tested_columns(self) -> set[str]:
-        out: set[str] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                out.add(node.test.column)
-                stack.extend((node.false_child, node.true_child))
-        return out
+        return {node.test.column for node, _ in self._walk() if not node.is_leaf}
 
     def to_dict(self) -> dict:
         return {
@@ -274,16 +271,13 @@ def train(data: LabeledDataset, config: TrainConfig = TrainConfig()) -> Decision
         for c in data.features.columns
         if c.kind in (ColumnKind.NUMERIC, ColumnKind.CATEGORICAL)
     )
-    column_values: dict[str, list[Any]] = {}
-    for column in columns:
-        values = data.features.values(column.name)
-        for i, value in enumerate(values):
-            if is_missing(value):
-                raise DataError(
-                    f"missing cell in column {column.name!r} at row {i}; "
-                    "run the screens before training"
-                )
-        column_values[column.name] = values
+    column_values = {column.name: data.features.values(column.name) for column in columns}
+    for name, values in column_values.items():
+        if MISSING in values:
+            raise DataError(
+                f"missing cell in column {name!r} at row {values.index(MISSING)}; "
+                "run the screens before training"
+            )
     labels = data.labels
     all_rows = list(range(len(labels)))
     # the one sort per numeric column: stable, so equal values keep row order
@@ -344,7 +338,7 @@ def predict(tree: DecisionTree, row: Mapping[str, Any]) -> int:
         if node.test.column not in row:
             raise DataError(f"row lacks tested column {node.test.column!r}")
         value = row[node.test.column]
-        if is_missing(value):
+        if value is MISSING:
             raise DataError(f"tested cell {node.test.column!r} is missing")
         node = node.true_child if node.test.passes(value) else node.false_child
     return node.predicted_class
@@ -380,16 +374,11 @@ class Rule:
 def extract_rules(tree: DecisionTree) -> list[Rule]:
     """One rule per class-1 leaf, ordered by descending confidence then
     descending support."""
-    rules: list[Rule] = []
-    stack: list[tuple[TreeNode, tuple[Condition, ...]]] = [(tree.root, ())]
-    while stack:  # depth-first, true branch first
-        node, path = stack.pop()
-        if not node.is_leaf:
-            stack.append((node.false_child, path + (Condition(node.test, True),)))
-            stack.append((node.true_child, path + (Condition(node.test, False),)))
-        elif node.predicted_class == 1:
-            support = node.counts[0] + node.counts[1]
-            rules.append(Rule(path, support, node.counts[1] / support))
+    rules = [
+        Rule(path, sum(node.counts), node.counts[1] / sum(node.counts))
+        for node, path in tree._walk()
+        if node.is_leaf and node.predicted_class == 1
+    ]
     rules.sort(key=lambda r: (-r.confidence, -r.support))
     return rules
 

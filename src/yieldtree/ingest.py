@@ -1,4 +1,5 @@
-"""CSV ingestion, case-dropping screens, and per-level CSV export.
+"""CSV ingestion, case-dropping screens, and CSV export: `write_csv` is the
+one CSV writer of the package, for tables and for every CSV artifact.
 
 File format: UTF-8, comma-separated, RFC 4180 quoting, first row header.
 Timestamp cells are exactly ``YYYY-MM-DD HH:MM`` in local plant time; no
@@ -17,7 +18,7 @@ from datetime import datetime
 from enum import Enum
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ParseError, SchemaError, UsageError
 from .model import (
@@ -29,7 +30,6 @@ from .model import (
     HierarchicalDataset,
     Row,
     Table,
-    is_missing,
 )
 
 T = TypeVar("T")
@@ -304,7 +304,7 @@ def drop_missing(table: Table) -> tuple[Table, int]:
 def apply_sensor_limits(
     table: Table,
 ) -> tuple[Table, list[tuple[EntityKey, str, float]]]:
-    """Discard rows with any numeric cell strictly outside its column's limits.
+    """Discard rows with any cell strictly outside its column's limits.
 
     Boundary values (exactly lo or hi) are kept. Returns the kept table and
     one flag per violating cell of each discarded row.
@@ -312,7 +312,7 @@ def apply_sensor_limits(
     limited = [
         (i, col.name, col.sensor_limits)
         for i, col in enumerate(table.columns)
-        if col.kind is ColumnKind.NUMERIC and col.sensor_limits is not None
+        if col.sensor_limits is not None
     ]
     if not limited:
         return table, []
@@ -331,7 +331,7 @@ def apply_sensor_limits(
 
 
 def _format_cell(value: Any, column: Column) -> str:
-    if is_missing(value):
+    if value is MISSING:
         return ""
     if column.kind is ColumnKind.TIMESTAMP:
         return format_timestamp(value)
@@ -340,20 +340,25 @@ def _format_cell(value: Any, column: Column) -> str:
     return str(value)
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a header row, then the rows, as UTF-8 CSV with line-feed line ends."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_table(table: Table, path: str | Path) -> None:
     """Write a table as CSV: canonical key columns first, then data columns.
 
     Numeric cells use shortest round-trip float formatting so that
     export -> load reproduces identical values.
     """
-    path = Path(path)
-    key_names = table.level.key_fields
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(key_names) + list(table.column_names))
-        for row in table.rows:
-            cells = [_format_cell(v, c) for v, c in zip(row.cells, table.columns)]
-            writer.writerow(list(row.key) + cells)
+    write_csv(
+        path,
+        table.level.key_fields + table.column_names,
+        (row.key + tuple(map(_format_cell, row.cells, table.columns)) for row in table.rows),
+    )
 
 
 def table_schema(table: Table) -> TableSchema:
@@ -367,11 +372,9 @@ def write_dataset(dataset: HierarchicalDataset, directory: str | Path) -> dict[G
     """Write every level's table to <directory>/<level>.csv."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written: dict[GranularityLevel, Path] = {}
-    for level in dataset.levels:
-        target = directory / LEVEL_FILENAMES[level]
-        write_table(dataset.tables[level], target)
-        written[level] = target
+    written = {level: directory / LEVEL_FILENAMES[level] for level in dataset.levels}
+    for level, path in written.items():
+        write_table(dataset.tables[level], path)
     return written
 
 

@@ -43,9 +43,6 @@ class Direction(str, Enum):
         """Strict `lt` or `gt`: a value equal to the threshold is never beyond it."""
         return lt if self is Direction.BELOW else gt
 
-    def beyond(self, value: float, threshold: float) -> bool:
-        return self.compare(value, threshold)
-
 
 @dataclass(frozen=True)
 class RejectionRule:

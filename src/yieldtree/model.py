@@ -2,7 +2,9 @@
 
 A dataset is a set of keyed tables, one per granularity level, ordered
 coarse to fine: batch > wafer > site > IC. Values are immutable after
-construction; every operation returns new objects.
+construction; every operation returns new objects. Columns are appended in
+one place, `Table.with_added_columns`, which `join_tables` and the encoders
+call.
 """
 
 from __future__ import annotations
@@ -93,14 +95,17 @@ class Column:
 class EntityKey(tuple):
     """Key of one row: the tuple of its identifiers, coarse to fine.
 
-    A key at `level` is exactly its level + 1 non-empty ids. It hashes,
-    compares and sorts like that plain tuple, and the ids of its ancestor at
-    `level` are the prefix ``key[:level + 1]``.
+    A key at `level` (0 to 3) is exactly its level + 1 non-empty ids; any
+    other level or id count is a UsageError. It hashes, compares and sorts
+    like that plain tuple, and the ids of its ancestor at `level` are the
+    prefix ``key[:level + 1]``.
     """
 
     __slots__ = ()
 
     def __new__(cls, level, batch_id=None, wafer_id=None, site_id=None, ic_id=None):
+        if level not in range(4):
+            raise UsageError(f"key level must be 0 to 3, got {level!r}")
         ids, depth = (batch_id, wafer_id, site_id, ic_id), level + 1
         if ids[depth:].count(None) != len(ids) - depth:
             extra = next(f for f, v in zip(_KEY_FIELDS[depth:], ids[depth:]) if v is not None)
@@ -115,7 +120,9 @@ class EntityKey(tuple):
         return key
 
     def __post_init__(self) -> None:
-        """Check that every id is non-empty; perfbench/tracer.py patches this hook."""
+        """Check one to four ids, each non-empty; perfbench/tracer.py patches this hook."""
+        if not self or len(self) > 4:
+            raise UsageError(f"a key needs 1 to 4 ids, got {len(self)}")
         if not all(self):
             missing = _KEY_FIELDS[[bool(v) for v in self].index(False)]
             raise UsageError(f"{self.level.name} key needs {missing}")
@@ -179,13 +186,15 @@ class Table:
         object.__setattr__(self, "rows", tuple(self.rows))
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
-            raise UsageError(f"duplicate column names: {sorted(names)}")
+            twice = sorted({name for name in names if names.count(name) > 1})
+            raise UsageError(f"duplicate column names: {twice}")
         depth, width = self.level + 1, len(self.columns)
         for row in self.rows:
             if len(row.key) != depth:
-                raise UsageError(
-                    f"row {row.key} is at {row.key.level.name}, table is {self.level.name}"
-                )
+                ids = len(row.key)
+                named = 0 < ids <= 4  # a key built around its check may not be
+                at = f"is at {GranularityLevel(ids - 1).name}" if named else f"has {ids} ids"
+                raise UsageError(f"row {row.key} {at}, table is {self.level.name}")
             if len(row.cells) != width:
                 raise UsageError(
                     f"row {row.key} has {len(row.cells)} cells for {len(self.columns)} columns"
@@ -222,12 +231,9 @@ class Table:
     def with_added_columns(
         self, columns: Sequence[Column], cells_per_row: Sequence[Sequence[Any]]
     ) -> "Table":
-        """New table with extra columns appended; cells align with rows."""
+        """New table with extra columns appended; cells align with rows, names are new."""
         if len(cells_per_row) != len(self.rows):
             raise UsageError("added cells do not align with rows")
-        for col in columns:
-            if self.has_column(col.name):
-                raise UsageError(f"column {col.name!r} already present")
         new_rows = tuple(
             Row(row.key, row.cells + tuple(extra))
             for row, extra in zip(self.rows, cells_per_row)
@@ -396,7 +402,7 @@ def group_by_ancestor(
 
 
 def join_tables(left: Table, right: Table) -> Table:
-    """Join two same-level tables on their keys, concatenating columns.
+    """Join two same-level tables on their keys, appending right's columns.
 
     Every left row must have exactly one match in right; column names must
     not collide. Used to assemble analysis-level feature tables.
@@ -405,16 +411,10 @@ def join_tables(left: Table, right: Table) -> Table:
         raise UsageError(
             f"cannot join {left.level.name} table with {right.level.name} table"
         )
-    overlap = set(left.column_names) & set(right.column_names)
-    if overlap:
-        raise UsageError(f"join would duplicate columns: {sorted(overlap)}")
-    by_key = {row.key: row for row in right.rows}
+    by_key = {row.key: row.cells for row in right.rows}
     if len(by_key) != len(right.rows):
         raise UsageError("right table has duplicate keys; cannot join")
-    rows = []
-    for row in left.rows:
-        match = by_key.get(row.key)
-        if match is None:
-            raise UsageError(f"no right-side row for key {row.key}")
-        rows.append(Row(row.key, row.cells + match.cells))
-    return Table(left.level, left.columns + right.columns, tuple(rows))
+    matches = [by_key.get(row.key) for row in left.rows]
+    if None in matches:
+        raise UsageError(f"no right-side row for key {left.rows[matches.index(None)].key}")
+    return left.with_added_columns(right.columns, matches)

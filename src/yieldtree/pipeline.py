@@ -4,7 +4,8 @@
 The config is a single JSON document (see README for the annotated schema).
 Reruns with identical config and inputs produce byte-identical artifacts:
 the manifest carries no timestamps, JSON is written with sorted keys, and
-every stage is deterministic.
+every stage is deterministic. Each target's source values and histogram are
+computed before the output directory is made, so bad target data leaves none.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from .ingest import (
     write_json,
 )
 from .model import (
+    MISSING,
     Column,
     ColumnKind,
     GranularityLevel,
     HierarchicalDataset,
     LabeledDataset,
     Table,
-    is_missing,
     join_tables,
     validate_hierarchy,
 )
@@ -375,10 +376,7 @@ def _time_column(settings: EncodingSettings, analysis: Table) -> str | None:
     configured = settings.cyclical or settings.sequential
     if configured:
         return configured.time_column
-    for column in analysis.columns:
-        if column.kind is ColumnKind.TIMESTAMP:
-            return column.name
-    return None
+    return next((c.name for c in analysis.columns if c.kind is ColumnKind.TIMESTAMP), None)
 
 
 def _holdout_mask(n: int, fraction: float, seed: int) -> list[bool]:
@@ -457,24 +455,25 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
         raise UsageError(
             f"features.exclude names no analysis or input column: {', '.join(map(repr, unknown))}"
         )
-    # --- every target's source values, before any artifact is written, in
-    # analysis-row (= batch-table) order; a lifted problem rule's column is reused
+    # --- every target's source values and histogram, before any artifact is
+    # written, in analysis-row (= batch-table) order; a lifted problem rule's
+    # column is reused
     lifted_rules = {d for d in config.lifts if isinstance(d, lift.RejectionRule)}
     target_values = []
     for t in config.targets:
         source = t.spec.source_column
         if t.problem is not None and t.problem not in lifted_rules:
-            target_values.append(lift.lift_reject_rate(dataset, t.problem).values(source))
-            continue
-        if not analysis.has_column(source):
+            values = lift.lift_reject_rate(dataset, t.problem).values(source)
+        elif not analysis.has_column(source):
             raise UsageError(f"target {t.name!r}: {source!r} is not an analysis column")
-        if analysis.column(source).kind is not ColumnKind.NUMERIC:
+        elif analysis.column(source).kind is not ColumnKind.NUMERIC:
             raise UsageError(f"target {t.name!r}: source column {source!r} is not numeric")
-        values = analysis.values(source)
-        gaps = [r.key for r, v in zip(analysis.rows, values) if is_missing(v)]
-        if gaps:
-            raise DataError(f"target {t.name!r}: {source!r} is missing for batch {gaps[0]}")
-        target_values.append(values)
+        else:
+            values = analysis.values(source)
+            if MISSING in values:
+                gap = analysis.rows[values.index(MISSING)].key
+                raise DataError(f"target {t.name!r}: {source!r} is missing for batch {gap}")
+        target_values.append((values, targeting.histogram(values, t.histogram_bins)))
     source_columns = {t.spec.source_column for t in config.targets}
     shielded = source_columns | set(config.feature_excludes)
     feature_table = analysis.without_columns(
@@ -504,19 +503,13 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
 
     # --- targets
     time_column = _time_column(config.encodings, analysis)
+    times = None if time_column is None else analysis.values(time_column)
     target_results: dict[str, TargetResult] = {}
     target_meta = []
-    for directive, values in zip(config.targets, target_values):
+    for directive, (values, histogram_report) in zip(config.targets, target_values):
         result = _run_target(
-            directive,
-            values,
-            analysis,
-            feature_table,
-            encoding_specs,
-            time_column,
-            config.train,
-            output_dir,
-            report_only,
+            directive, values, histogram_report, times, feature_table, encoding_specs,
+            config.train, output_dir, report_only,
         )
         target_results[directive.name] = result
         labeled = result.labeled
@@ -565,23 +558,22 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
 def _run_target(
     directive: TargetDirective,
     values: list[float],
-    analysis: Table,
+    histogram_report: targeting.HistogramReport,
+    times: list[datetime] | None,
     feature_table: Table,
     encoding_specs: list[feats.TimeEncodingSpec],
-    time_column: str | None,
     train_settings: TrainSettings,
     output_dir: Path,
     report_only: bool,
 ) -> TargetResult:
     artifacts: dict[str, str] = {}
     spec = directive.spec
-    histogram_report = targeting.histogram(values, directive.histogram_bins)
     histogram_name = f"{directive.name}_histogram.csv"
     targeting.write_histogram_csv(histogram_report, output_dir / histogram_name)
     artifacts["histogram"] = histogram_name
 
-    if time_column is not None and analysis.has_column(time_column):
-        series = targeting.yield_series(analysis.values(time_column), values)
+    if times is not None:
+        series = targeting.yield_series(times, values)
         series_name = f"{directive.name}_over_time.csv"
         targeting.write_series_csv(series, output_dir / series_name)
         artifacts["series"] = series_name
@@ -619,13 +611,5 @@ def _run_target(
     artifacts["tree"] = tree_name
 
     return TargetResult(
-        directive,
-        threshold,
-        grey_deleted,
-        labeled,
-        tree,
-        rules,
-        report_text,
-        evaluation,
-        artifacts,
+        directive, threshold, grey_deleted, labeled, tree, rules, report_text, evaluation, artifacts
     )

@@ -3,22 +3,25 @@ into a binary class and grey-region deletion. A per-problem target labels
 the rates of `lift.lift_reject_rate` with `apply_grey_region`.
 
 Equality at the threshold is always class 0; the grey region is the open
-interval (t - delta, t + delta).
+interval (t - delta, t + delta). A histogram whose value range is wider than
+the largest float is a DataError. The histogram and series artifacts are
+written by `ingest.write_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError, EmptyDatasetError, NoValleyError, UsageError
+from .ingest import format_timestamp, write_csv
 from .lift import Direction
-from .model import LabeledDataset, Table, is_missing
+from .model import MISSING, LabeledDataset, Table
 
 DEFAULT_HISTOGRAM_BINS = 10
 
@@ -73,12 +76,11 @@ def label_by_threshold(
     values: Sequence[float], t: float, direction: Direction = Direction.BELOW
 ) -> list[int]:
     """Binary labels: 1 where the value lies strictly on the direction side of t."""
-    labels = []
-    for i, value in enumerate(values):
-        if is_missing(value):
-            raise DataError(f"target value at row {i} is missing; targets must be complete")
-        labels.append(1 if direction.beyond(value, t) else 0)
-    return labels
+    if MISSING in values:
+        raise DataError(
+            f"target value at row {values.index(MISSING)} is missing; targets must be complete"
+        )
+    return list(map(int, map(direction.compare, values, repeat(t))))
 
 
 def threshold_median(values: Sequence[float]) -> float:
@@ -116,6 +118,8 @@ def histogram(values: Sequence[float], bins: int) -> HistogramReport:
     lo, hi = min(values), max(values)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    if not math.isfinite(hi - lo):
+        raise DataError(f"histogram range [{lo!r}, {hi!r}] is wider than the largest float")
     width = (hi - lo) / bins
     counts = [0] * bins
     for value in values:
@@ -168,7 +172,7 @@ def yield_series(
     series = [
         (t, v)
         for t, v in zip(times, values)
-        if not is_missing(t) and not is_missing(v)
+        if t is not MISSING and v is not MISSING
     ]
     series.sort(key=lambda pair: pair[0])  # stable: ties keep input order
     return series
@@ -205,19 +209,10 @@ def apply_grey_region(
 
 def write_histogram_csv(report: HistogramReport, path: str | Path) -> None:
     """Export as CSV with columns bin_lo, bin_hi, count."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for i, count in enumerate(report.counts):
-            writer.writerow([repr(report.bin_edges[i]), repr(report.bin_edges[i + 1]), count])
+    edges = list(map(repr, report.bin_edges))
+    write_csv(path, ["bin_lo", "bin_hi", "count"], zip(edges, edges[1:], report.counts))
 
 
 def write_series_csv(series: Sequence[tuple[datetime, float]], path: str | Path) -> None:
     """Export a (time, value) series as CSV with columns time, value."""
-    from .ingest import format_timestamp
-
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["time", "value"])
-        for ts, value in series:
-            writer.writerow([format_timestamp(ts), repr(float(value))])
+    write_csv(path, ["time", "value"], ((format_timestamp(t), repr(float(v))) for t, v in series))

@@ -65,6 +65,11 @@ class TestCyclical:
         assert all(is_missing(table.row_mapping(table.rows[0])[c]) for c in
                    ("hour_of_day", "day_of_week", "week_of_month", "is_weekend", "is_holiday"))
 
+    def test_missing_timestamp_leaves_the_next_row_encoded(self):
+        table = encode_cyclical(timestamp_table([MISSING, datetime(1990, 1, 6, 12, 0)]), "ts")
+        assert table.rows[0].cells[1:] == (MISSING,) * 5
+        assert table.rows[1].cells[1:] == (12, 5, 1, 1, 0)
+
     def test_ranges_and_zeller_agreement_on_random_timestamps(self):
         rng = random.Random(5)
         stamps = [
@@ -111,6 +116,10 @@ class TestSequential:
             encoded = encode_sequential(timestamp_table([ts]), "ts", SEQ_SPEC)
             assert encoded.values("minutes_from_epoch") == [minutes]
 
+    def test_missing_timestamp_encodes_missing(self):
+        table = encode_sequential(timestamp_table([MISSING, DEFAULT_EPOCH]), "ts", SEQ_SPEC)
+        assert table.values("minutes_from_epoch") == [MISSING, 0]
+
     def test_strictly_increasing_in_timestamp(self):
         stamps = [DEFAULT_EPOCH + timedelta(minutes=m) for m in (0, 1, 59, 60, 1441)]
         table = encode_sequential(timestamp_table(stamps), "ts", SEQ_SPEC)
@@ -135,6 +144,10 @@ class TestBatchOrder:
     def test_no_digits_is_missing(self):
         table = order_from_batch_id(self._ids_table(["BATCH"]), "lot")
         assert is_missing(table.values("batch_order")[0])
+
+    def test_missing_id_is_missing(self):
+        table = order_from_batch_id(self._ids_table([MISSING, "B-7"]), "lot")
+        assert table.values("batch_order") == [MISSING, 7]
 
     def test_key_field_source(self):
         base = Table(BATCH, (), (Row(batch_key("0007"), ()), Row(batch_key("0010"), ())))

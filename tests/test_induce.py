@@ -78,6 +78,12 @@ class TestTrain:
         with pytest.raises(UsageError):
             train(make_dataset([("x", NUM)], [], []), LOOSE)
 
+    def test_first_missing_cell_named_in_schema_then_row_order(self):
+        rows = [(1.0, "a"), (2.0, MISSING), (MISSING, "b"), (MISSING, MISSING)]
+        data = make_dataset([("x", NUM), ("c", CAT)], rows, [0, 1, 0, 1])
+        with pytest.raises(DataError, match="missing cell in column 'x' at row 2"):
+            train(data, LOOSE)
+
     def test_missing_cell_rejected(self):
         with pytest.raises(DataError):
             train(numeric_dataset([1.0, MISSING], [0, 1]), LOOSE)
@@ -212,24 +218,9 @@ class TestSplitOracle:
         # Deep trees over heavily tied values: every node's split search runs
         # on the rows routed to it, so a child scanning rows that are not its
         # own shows up as wrong counts, a wrong gain or a non-argmax split.
-        rng = random.Random(16)
         checked_nodes = deep_nodes = 0
-        for _ in range(200):
-            n_rows = rng.randint(10, 60)
-            columns = [
-                (f"c{c}", rng.choice(["numeric", "categorical"])) for c in range(rng.randint(2, 4))
-            ]
-            rows = [
-                tuple(
-                    float(rng.randint(0, 5)) if kind == "numeric" else rng.choice("abcd")
-                    for _, kind in columns
-                )
-                for _ in range(n_rows)
-            ]
-            labels = [rng.randint(0, 1) for _ in range(n_rows)]
-            config = TrainConfig(
-                max_depth=rng.randint(4, 6), min_leaf=rng.randint(1, 3), min_gain=0.0
-            )
+        for columns, rows, labels, config in deep_tree_cases():
+            n_rows = len(rows)
             data = make_dataset(
                 [(n, NUM if k == "numeric" else CAT) for n, k in columns], rows, labels
             )
@@ -266,6 +257,56 @@ class TestSplitOracle:
                 stack.append((node.true_child, [i for i, p in zip(routed, passes) if p]))
                 stack.append((node.false_child, [i for i, p in zip(routed, passes) if not p]))
         assert checked_nodes >= 1000 and deep_nodes >= 500
+
+
+def deep_tree_cases():
+    """The 200 (columns, rows, labels, config) cases of the deep-tree oracle
+    test: heavily tied values, depth 4 to 6."""
+    rng = random.Random(16)
+    for _ in range(200):
+        n_rows = rng.randint(10, 60)
+        columns = [
+            (f"c{c}", rng.choice(["numeric", "categorical"])) for c in range(rng.randint(2, 4))
+        ]
+        rows = [
+            tuple(
+                float(rng.randint(0, 5)) if kind == "numeric" else rng.choice("abcd")
+                for _, kind in columns
+            )
+            for _ in range(n_rows)
+        ]
+        labels = [rng.randint(0, 1) for _ in range(n_rows)]
+        config = TrainConfig(
+            max_depth=rng.randint(4, 6), min_leaf=rng.randint(1, 3), min_gain=0.0
+        )
+        yield columns, rows, labels, config
+
+
+def leaves_reference(node):
+    """Leaves under node, true branch first, by plain recursion."""
+    if node.is_leaf:
+        return [node]
+    return leaves_reference(node.true_child) + leaves_reference(node.false_child)
+
+
+def reference_tested_columns(node):
+    """Columns tested under node, by plain recursion."""
+    if node.is_leaf:
+        return set()
+    return {node.test.column}.union(
+        reference_tested_columns(node.true_child), reference_tested_columns(node.false_child)
+    )
+
+
+class TestTreeWalk:
+    def test_leaves_and_tested_columns_match_recursion_on_deep_trees(self):
+        for columns, rows, labels, config in deep_tree_cases():
+            data = make_dataset(
+                [(n, NUM if k == "numeric" else CAT) for n, k in columns], rows, labels
+            )
+            tree = train(data, config)
+            assert list(map(id, tree.leaves())) == list(map(id, leaves_reference(tree.root)))
+            assert tree.tested_columns() == reference_tested_columns(tree.root)
 
 
 def left_size(columns, rows, name, value) -> int:

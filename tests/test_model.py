@@ -108,6 +108,22 @@ class TestEntityKeyContract:
         with pytest.raises(UsageError, match="BATCH key must not carry site_id"):
             EntityKey(BATCH, "b1", None, "s1")
 
+    def test_no_ids_rejected(self):
+        with pytest.raises(UsageError, match="a key needs 1 to 4 ids, got 0"):
+            EntityKey.from_ids(())
+
+    def test_five_ids_rejected(self):
+        with pytest.raises(UsageError, match="a key needs 1 to 4 ids, got 5"):
+            EntityKey.from_ids(("b1", "w1", "s1", "i1", "x1"))
+
+    def test_level_above_ic_rejected(self):
+        with pytest.raises(UsageError, match="key level must be 0 to 3, got 7"):
+            EntityKey(7, "b1")
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(UsageError, match="key level must be 0 to 3, got -1"):
+            EntityKey(-1, "b1")
+
     def test_repr_and_str_are_stable(self):
         key = ONE_KEY_PER_LEVEL[SITE]
         assert repr(key) == "EntityKey(GranularityLevel.SITE, 'b1', 'w2', 's3')"
@@ -156,6 +172,13 @@ class TestTable:
         for key in (site_key("b1", "w1", "s1"), batch_key("b1")):
             with pytest.raises(UsageError, match=rf"is at {key.level.name}, table is WAFER"):
                 Table(WAFER, (), (Row(key, ()),))
+
+    def test_key_built_around_the_check_rejected_with_its_id_count(self):
+        # from_ids rejects five ids; a table must still report such a key
+        # as a UsageError instead of failing to name its level
+        key = tuple.__new__(EntityKey, ("b1", "w1", "s1", "i1", "x1"))
+        with pytest.raises(UsageError, match="row b1/w1/s1/i1/x1 has 5 ids, table is WAFER"):
+            Table(WAFER, (), (Row(key, ()),))
 
     def test_short_extra_cells_rejected_by_with_added_columns(self):
         col = Column("x", ColumnKind.NUMERIC)
@@ -279,4 +302,31 @@ class TestJoinTables:
         left = Table(BATCH, (), (Row(batch_key("b1"), ()),))
         right = Table(BATCH, (), (Row(batch_key("b2"), ()),))
         with pytest.raises(UsageError):
+            join_tables(left, right)
+
+    def test_first_unmatched_key_named(self):
+        x, y = Column("x", ColumnKind.NUMERIC), Column("y", ColumnKind.NUMERIC)
+        left = Table(BATCH, (x,), tuple(Row(batch_key(b), (1.0,)) for b in ("b1", "b3", "b4")))
+        right = Table(BATCH, (y,), (Row(batch_key("b1"), (2.0,)), Row(batch_key("b4"), (2.0,))))
+        with pytest.raises(UsageError, match="no right-side row for key b3"):
+            join_tables(left, right)
+
+    def test_duplicate_right_key_rejected(self):
+        x, y = Column("x", ColumnKind.NUMERIC), Column("y", ColumnKind.NUMERIC)
+        left = Table(BATCH, (x,), (Row(batch_key("b1"), (1.0,)),))
+        right = Table(BATCH, (y,), (Row(batch_key("b1"), (2.0,)), Row(batch_key("b1"), (3.0,))))
+        with pytest.raises(UsageError, match="duplicate keys"):
+            join_tables(left, right)
+
+    def test_column_clash_rejected(self):
+        x = Column("x", ColumnKind.NUMERIC)
+        left = Table(BATCH, (x,), (Row(batch_key("b1"), (1.0,)),))
+        right = Table(BATCH, (x,), (Row(batch_key("b1"), (2.0,)),))
+        with pytest.raises(UsageError, match="'x'"):
+            join_tables(left, right)
+
+    def test_level_mismatch_rejected(self):
+        left = Table(BATCH, (), (Row(batch_key("b1"), ()),))
+        right = Table(WAFER, (), (Row(wafer_key("b1", "w1"), ()),))
+        with pytest.raises(UsageError, match="cannot join BATCH table with WAFER table"):
             join_tables(left, right)

@@ -9,7 +9,7 @@ import pytest
 from conftest import SITE, build_hierarchy
 from test_golden import X_RULE, csv_config, scenario_config, write_shuffled_csvs
 from yieldtree.cli import main
-from yieldtree.errors import AnalysisError, UsageError
+from yieldtree.errors import AnalysisError, DataError, UsageError
 from yieldtree.model import Column, ColumnKind, Table
 from yieldtree.pipeline import ScreenSettings, _screen_dataset, config_from_dict, run_pipeline
 from yieldtree.synthfab import scenario_from_dict
@@ -621,9 +621,40 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_target_range_wider_than_the_largest_float_exits_two(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, overflowing_range_config(tmp_path))
+        assert main(["analyze", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: histogram range [-1e+308, 1e+308]")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # checked before any artifact is written
+
     def test_bad_cli_arguments_exit_one(self, capsys):
         assert main(["analyze"]) == 1
         assert main(["not-a-command"]) == 1
+
+
+def overflowing_range_config(directory: Path) -> dict:
+    """A CSV input whose target values span more than the largest float."""
+    (directory / "batch.csv").write_text(
+        "batch_id,oven_temp,yield\nb1,350,1e308\nb2,360,-1e308\nb3,355,80\n", encoding="utf-8"
+    )
+    return {
+        "input": {"csv": [{
+            "path": "batch.csv", "level": "batch", "key_columns": ["batch_id"],
+            "columns": [{"name": n, "kind": "numeric"} for n in ("oven_temp", "yield")],
+        }]},
+        "targets": [{"name": "low_yield", "source_column": "yield", "strategy": "fixed",
+                     "threshold": 90.0}],
+        "outputs": {"dir": "out"},
+    }
+
+
+class TestTargetRange:
+    def test_range_wider_than_the_largest_float_is_data_error_before_any_artifact(self, tmp_path):
+        with pytest.raises(DataError, match="histogram range"):
+            run_config(overflowing_range_config(tmp_path), tmp_path)
+        assert not (tmp_path / "out").exists()
 
 
 class TestMultipleTargets:

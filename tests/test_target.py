@@ -36,6 +36,10 @@ class TestLabelByThreshold:
         with pytest.raises(DataError):
             label_by_threshold([1.0, MISSING], 2.0)
 
+    def test_first_missing_row_named(self):
+        with pytest.raises(DataError, match="target value at row 2 is missing"):
+            label_by_threshold([1.0, 3.0, MISSING, 4.0, MISSING], 2.0)
+
     def test_monotone_in_threshold(self):
         rng = random.Random(8)
         values = [rng.uniform(0, 100) for _ in range(50)]
@@ -78,6 +82,12 @@ class TestHistogram:
     def test_one_per_bin(self):
         report = histogram([0.0, 10.0], 2)
         assert report.counts == (1, 1)
+
+    def test_range_wider_than_the_largest_float_is_data_error(self):
+        with pytest.raises(DataError, match=r"range \[-1e\+308, 1e\+308\]"):
+            histogram([1e308, 0.0, -1e308], 4)
+        with pytest.raises(DataError, match="range"):
+            threshold_valley([1e308, 0.0, -1e308], 4)
 
     def test_conservation_on_random_values(self):
         rng = random.Random(10)
