@@ -98,7 +98,7 @@ def decode_sequential(minutes: int, spec: TimeEncodingSpec) -> datetime:
 
 
 def _digit_order(value: str) -> tuple[Any]:
-    digits = "".join(ch for ch in value if ch.isdigit())
+    digits = "".join(ch for ch in value if ch.isdecimal())
     return (int(digits) if digits else MISSING,)
 
 

@@ -29,6 +29,7 @@ from typing import Any, Iterator, Mapping, Sequence
 from .errors import DataError, UsageError
 from .features import SEQUENTIAL_COLUMN, TimeEncodingSpec, TimeMode, decode_sequential
 from .ingest import format_timestamp
+from .lift import midpoint
 from .model import MISSING, Column, ColumnKind, LabeledDataset
 
 
@@ -124,14 +125,6 @@ class DecisionTree:
             "root": _encode_node(self.root),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DecisionTree":
-        config = TrainConfig(**doc["config"])
-        columns = tuple(
-            Column(c["name"], ColumnKind[c["kind"].upper()]) for c in doc["columns"]
-        )
-        return cls(_decode_node(doc["root"], 0), config, columns)
-
 
 def _encode_node(node: TreeNode) -> dict:
     doc: dict[str, Any] = {"counts": list(node.counts), "depth": node.depth}
@@ -148,24 +141,6 @@ def _encode_node(node: TreeNode) -> dict:
         doc["true"] = _encode_node(node.true_child)
         doc["false"] = _encode_node(node.false_child)
     return doc
-
-
-def _decode_node(node_doc: dict, depth: int) -> TreeNode:
-    counts = (node_doc["counts"][0], node_doc["counts"][1])
-    if node_doc["leaf"]:
-        return TreeNode(counts, depth)
-    test_doc = node_doc["test"]
-    if test_doc["op"] == "le":
-        test = SplitTest(test_doc["column"], threshold=test_doc["value"])
-    else:
-        test = SplitTest(test_doc["column"], category=test_doc["value"])
-    return TreeNode(
-        counts,
-        depth,
-        test,
-        _decode_node(node_doc["true"], depth + 1),
-        _decode_node(node_doc["false"], depth + 1),
-    )
 
 
 def _gini(n0: int, n1: int) -> float:
@@ -245,10 +220,7 @@ def _best_split(
     if column is None:
         return None
     if column.kind is ColumnKind.NUMERIC:
-        midpoint = (value[0] + value[1]) / 2
-        if not math.isfinite(midpoint):  # the sum overflowed; halving each is exact
-            midpoint = value[0] / 2 + value[1] / 2
-        return gain, SplitTest(column.name, threshold=midpoint)
+        return gain, SplitTest(column.name, threshold=midpoint(*value))
     return gain, SplitTest(column.name, category=value)
 
 

@@ -6,6 +6,8 @@ input order: `lift_stats` emits rows in ascending key order and
 `lift_reject_rate` in batch-table order.
 Per-value arithmetic runs in C builtins; the std is exact integer
 arithmetic rounded once, so its bytes do not depend on the CPython version.
+`mean`, `median` and `midpoint` are the package's one float mean, median and
+midpoint; each gives a finite result where a sum of finite values overflows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import gt, lshift, lt, mul, sub
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .errors import DataError, UsageError
 from .model import (
@@ -71,6 +73,29 @@ class RejectionRule:
 STAT_SUFFIXES = ("mean", "std", "median", "min", "max")
 
 
+def mean(values: Sequence[float]) -> float:
+    """fsum(values) / n. Where the sum overflows, each value is first scaled
+    by 2**-bits, with 2**bits > n, so the sum of n finite values is finite;
+    the scaling is exact but for bits far below the sum's last place."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        bits = len(values).bit_length()
+        return math.ldexp(math.fsum(map(math.ldexp, values, repeat(-bits))) / len(values), bits)
+
+
+def midpoint(a: float, b: float) -> float:
+    """(a + b) / 2; where the sum overflows, a / 2 + b / 2."""
+    middle = (a + b) / 2
+    return middle if math.isfinite(middle) else a / 2 + b / 2
+
+
+def median(ordered: Sequence[float]) -> float:
+    """Median of ascending values; of an even count, the midpoint of the middle two."""
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else midpoint(ordered[half - 1], ordered[half])
+
+
 def _group_stats(values: list[float]) -> tuple[float, float, float, float, float]:
     """Mean, sample std, median, min and max, as `statistics` gives them from
     CPython 3.11 on. Each value is v = N * 2**(low - 53) with N an integer, so
@@ -79,8 +104,6 @@ def _group_stats(values: list[float]) -> tuple[float, float, float, float, float
     """
     n = len(values)
     ordered = sorted(values)
-    half = n // 2
-    median = ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2
     std = 0.0
     if n > 1:
         mantissas, exponents = zip(*map(math.frexp, values))
@@ -97,7 +120,7 @@ def _group_stats(values: list[float]) -> tuple[float, float, float, float, float
         q += low - 53
         std = root / (1 << -q) if q < 0 else float(root << q)
     # max(), not ordered[-1]: of equal maxima (0.0 and -0.0) it keeps the first
-    return math.fsum(values) / n, std, median, ordered[0], max(values)
+    return mean(values), std, median(ordered), ordered[0], max(values)
 
 
 def _present_values(

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import DataError, EmptyDatasetError, NoValleyError, UsageError
 from .ingest import format_timestamp, write_csv
-from .lift import Direction
+from .lift import Direction, median, midpoint
 from .model import MISSING, LabeledDataset, Table
 
 DEFAULT_HISTOGRAM_BINS = 10
@@ -87,11 +87,7 @@ def threshold_median(values: Sequence[float]) -> float:
     """Median threshold, balancing examples and counter-examples."""
     if len(values) < 2:
         raise UsageError("median threshold needs at least 2 values")
-    ordered = sorted(values)
-    n = len(ordered)
-    if n % 2:
-        return ordered[n // 2]
-    return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
+    return median(sorted(values))
 
 
 @dataclass(frozen=True)
@@ -102,14 +98,14 @@ class HistogramReport:
     counts: tuple[int, ...]
 
     def midpoint(self, bin_index: int) -> float:
-        return (self.bin_edges[bin_index] + self.bin_edges[bin_index + 1]) / 2
+        return midpoint(self.bin_edges[bin_index], self.bin_edges[bin_index + 1])
 
 
 def histogram(values: Sequence[float], bins: int) -> HistogramReport:
     """Equal-width histogram over [min, max].
 
-    A degenerate range (all values equal) is widened by 0.5 on each side so
-    the edges stay strictly ascending.
+    A degenerate range (all values equal) is widened by 0.5 on each side, or
+    by one ulp where 0.5 does not move it (values above 2**53), so lo < hi.
     """
     if not values:
         raise UsageError("histogram needs at least 1 value")
@@ -118,15 +114,14 @@ def histogram(values: Sequence[float], bins: int) -> HistogramReport:
     lo, hi = min(values), max(values)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+        if lo == hi:
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     if not math.isfinite(hi - lo):
         raise DataError(f"histogram range [{lo!r}, {hi!r}] is wider than the largest float")
     width = (hi - lo) / bins
     counts = [0] * bins
-    for value in values:
-        index = int((value - lo) / (hi - lo) * bins)
-        if index >= bins:  # value == hi lands in the last bin
-            index = bins - 1
-        counts[index] += 1
+    for value in values:  # value == hi lands in the last bin
+        counts[min(int((value - lo) / (hi - lo) * bins), bins - 1)] += 1
     edges = tuple(lo + i * width for i in range(bins)) + (hi,)
     return HistogramReport(edges, tuple(counts))
 

@@ -145,6 +145,10 @@ class TestBatchOrder:
         table = order_from_batch_id(self._ids_table(["BATCH"]), "lot")
         assert is_missing(table.values("batch_order")[0])
 
+    def test_only_decimal_digits_count(self):
+        table = order_from_batch_id(self._ids_table(["B²", "B1²"]), "lot")
+        assert table.values("batch_order") == [MISSING, 1]
+
     def test_missing_id_is_missing(self):
         table = order_from_batch_id(self._ids_table([MISSING, "B-7"]), "lot")
         assert table.values("batch_order") == [MISSING, 7]

@@ -151,6 +151,14 @@ class TestGroupStats:
             variance = sum((v - center) ** 2 for v in exact) / (n - 1)
             assert is_correctly_rounded_root(variance, std), values
 
+    def test_values_whose_sum_overflows(self):
+        mean, std, median, lo, hi = _group_stats([1e308, 1.5e308])
+        assert mean == median == 1.25e308
+        assert (lo, hi) == (1e308, 1.5e308)
+        assert std == pytest.approx(0.5e308 / math.sqrt(2))
+        mean, _, median, _, _ = _group_stats([1e308, 1.5e308, 1.2e308, 1.7e308])
+        assert mean == pytest.approx(1.35e308) and median == 1.35e308
+
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev rounds twice before 3.11")
     def test_equals_statistics_bit_for_bit(self):
         for values in self.GROUPS:

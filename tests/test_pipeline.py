@@ -657,6 +657,18 @@ class TestTargetRange:
         assert not (tmp_path / "out").exists()
 
 
+    def test_median_of_values_near_the_largest_float_is_finite(self, tmp_path, capsys):
+        doc = overflowing_range_config(tmp_path)
+        rows = "".join(f"b{i},{350 + i},{1e308 + i * 0.14e308!r}\n" for i in range(6))
+        (tmp_path / "batch.csv").write_text("batch_id,oven_temp,yield\n" + rows, encoding="utf-8")
+        doc["targets"] = [{"name": "low_yield", "source_column": "yield"}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", "--config", str(path)]) == 0
+        assert "threshold=1.3500000000000002e+308" in capsys.readouterr().out
+        assert "Infinity" not in (tmp_path / "out" / "manifest.json").read_text(encoding="utf-8")
+
+
 class TestMultipleTargets:
     def test_one_tree_per_target_with_shared_features(self, tmp_path):
         doc = base_config(tmp_path / "out", n_batches=60)

@@ -1,3 +1,4 @@
+import math
 import random
 from datetime import datetime, timedelta
 
@@ -72,12 +73,21 @@ class TestThresholdMedian:
         with pytest.raises(UsageError):
             threshold_median([1.0])
 
+    def test_middle_values_whose_sum_overflows(self):
+        assert threshold_median([1.7e308, 1e308, 1.5e308, 1.2e308]) == 1.35e308
+
 
 class TestHistogram:
     def test_single_value_one_bin(self):
         report = histogram([5.0], 1)
         assert report.counts == (1,)
         assert report.bin_edges[0] < 5.0 < report.bin_edges[1]
+
+    def test_equal_values_above_2_53_widen_by_one_ulp(self):
+        report = histogram([1e17, 1e17], 3)
+        assert report.bin_edges[0] == math.nextafter(1e17, 0.0)
+        assert report.bin_edges[-1] == math.nextafter(1e17, math.inf)
+        assert report.counts == (0, 2, 0)
 
     def test_one_per_bin(self):
         report = histogram([0.0, 10.0], 2)
