@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .errors import UsageError
 from .ingest import write_csv
+from .lift import mean
 from .model import MISSING, Column, ColumnKind, Table
 
 DEFAULT_EPOCH = datetime(1990, 1, 1, 0, 0)
@@ -144,11 +145,14 @@ class CorrelationReport:
         return self.matrix[i][j]
 
 
-def _centred(values: Sequence[float]) -> tuple[list[float], float]:
-    """Deviations from the mean, and the sum of their squares."""
-    mean = sum(values) / len(values)
-    deviations = list(map(sub, values, repeat(mean)))
-    return deviations, sum(map(pow, deviations, repeat(2)))
+def _centred(values: Sequence[float]) -> tuple[list[float], float | None]:
+    """Deviations from the mean, and the sum of their squares (None where it overflows)."""
+    deviations = list(map(sub, values, repeat(mean(values))))
+    try:
+        squares = math.fsum(map(mul, deviations, deviations))
+    except OverflowError:
+        return deviations, None
+    return deviations, squares if math.isfinite(squares) else None
 
 
 def correlation_table(
@@ -162,7 +166,9 @@ def correlation_table(
     suggested_drops.
 
     Columns without gaps are centred once; a pair with a gap centres the rows
-    where both are present. The builtin `sum` is compensated from CPython 3.12 on.
+    where both are present. Every sum is `math.fsum`, correctly rounded on
+    every CPython version; a pair whose sum of squares overflows has no
+    coefficient.
     """
     numeric = [c.name for c in table.columns if c.kind is ColumnKind.NUMERIC]
     if len(numeric) < 2:
@@ -192,7 +198,8 @@ def correlation_table(
                     if x is not MISSING and y is not MISSING
                 ]
                 (dx, ssx), (dy, ssy) = map(_centred, zip(*present))
-            r = sum(map(mul, dx, dy)) / math.sqrt(ssx * ssy) if ssx and ssy else None
+            # finite sums of squares bound the covariance: |cov| <= sqrt(ssx * ssy)
+            r = math.fsum(map(mul, dx, dy)) / math.sqrt(ssx * ssy) if ssx and ssy else None
             matrix[i][j] = matrix[j][i] = r
             if r is not None and abs(r) >= flag_threshold:
                 flagged.append((a, b, r))

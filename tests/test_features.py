@@ -2,6 +2,7 @@ import csv
 import math
 import random
 from datetime import date, datetime, timedelta
+from fractions import Fraction
 
 import pytest
 
@@ -176,6 +177,21 @@ def columns_table(named_values):
     return Table(BATCH, columns, rows)
 
 
+def exact_sum_pearson(xs, ys):
+    """Pearson's r whose mean, sums of squares and covariance are exact sums
+    rounded once to a float, which is what math.fsum returns."""
+
+    def centred(values):
+        mean = float(sum(map(Fraction, values))) / len(values)
+        deviations = [v - mean for v in values]
+        return deviations, float(sum(Fraction(d * d) for d in deviations))
+
+    (dx, ssx), (dy, ssy) = centred(xs), centred(ys)
+    if not ssx or not ssy:
+        return None
+    return float(sum(Fraction(x * y) for x, y in zip(dx, dy))) / math.sqrt(ssx * ssy)
+
+
 class TestCorrelationTable:
     def test_identical_columns_flagged_at_one(self):
         table = columns_table({"a": [1.0, 2.0, 3.0], "a_copy": [1.0, 2.0, 3.0]})
@@ -251,8 +267,25 @@ class TestCorrelationTable:
                     for x, y in zip(named[a], named[b])
                     if not is_missing(x) and not is_missing(y)
                 ]
-                expected = pearson_oracle([x for x, _ in present], [y for _, y in present])
-                assert repr(report.matrix[i][j]) == repr(expected), (a, b)
+                xs, ys = [x for x, _ in present], [y for _, y in present]
+                assert repr(report.matrix[i][j]) == repr(exact_sum_pearson(xs, ys)), (a, b)
+                assert report.matrix[i][j] == pytest.approx(pearson_oracle(xs, ys)), (a, b)
+
+    def test_pairs_whose_sums_overflow_have_no_coefficient(self, tmp_path):
+        table = columns_table({
+            "a": [1.0, 2.0, 4.0, 3.0],
+            "big": [1e308, 1.5e308, 1.2e308, 1.7e308],  # the sum of the values overflows
+            "wide": [1e200, -1e200, 0.0, 1.0],  # the sum of squares overflows
+        })
+        report = correlation_table(table)
+        assert report.matrix[0][1:] == (None, None)
+        assert report.matrix[1][2] is None
+        assert report.flagged_pairs == ()
+        path = tmp_path / "correlation.csv"
+        write_correlation_csv(report, path)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+            "a,big,,0", "a,wide,,0", "big,wide,,0"
+        ]
 
     def test_preconditions(self):
         with pytest.raises(UsageError):

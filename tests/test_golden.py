@@ -2,20 +2,15 @@
 
 `test_rerun_is_byte_identical` compares two runs of the same code; these
 digests compare the code against its earlier self, so a refactor or a
-speedup that changes any output byte fails here. The digests were recorded
-before the id-prefix hierarchy walk landed and must not change with it.
+speedup that changes any output byte fails here.
 
-The lifted std is exact and rounded once, so it has the same bytes on every
-CPython version; the builtin `sum` of floats behind the correlation
-coefficients is compensated from 3.12 on, so `correlation.csv` is recorded
-per minor version.
+Every float sum behind the artifacts is `math.fsum` or exact integer
+arithmetic, each rounded once, so one digest set holds on every supported
+CPython version.
 """
 
 import hashlib
-import sys
 from pathlib import Path
-
-import pytest
 
 from yieldtree import synthfab
 from yieldtree.ingest import write_dataset
@@ -136,9 +131,9 @@ def artifact_digests(directory: Path) -> dict[str, str]:
     }
 
 
-# Recorded on CPython 3.11.
+# Recorded on CPython 3.10, 3.11, 3.12 and 3.13.
 SCENARIO_DIGESTS = {
-    "correlation.csv": "a2ad0bb37659f0ec38a151143c151b9f5e160194286001130a66c3cfdaf80e01",
+    "correlation.csv": "238b40bc3877a5d65508b21993d625e0ba8214df0f74e472a4b838c9521ca621",
     "low_yield_histogram.csv": "87a218208a91b8eec7a9e6f8612b99ef41d5ec260a7747e6b23c594e906dd9a0",
     "low_yield_over_time.csv": "cab346daef9fb69205a6e7655455652153ee676a2082d46386e03290ac171b5a",
     "low_yield_rules.txt": "35431bc0123dd9c02417ca9d9aa98fcf459309953d446ad0c04e87102f2c8808",
@@ -155,7 +150,7 @@ SCENARIO_DIGESTS = {
 }
 
 CSV_DIGESTS = {
-    "correlation.csv": "bfb0aea1186465fc46569249e129e6b948a623a846ef657e5599137dc1123e5c",
+    "correlation.csv": "e35dd33f08e50b0d7573c6fbd49d39394009cad8b64ae0bc5049fed185226bf4",
     "manifest.json": "4257a3c81335668822f6524257bbac24a164b9fa8e13ab6de2a8bb5ac409d500",
     "x_problem_histogram.csv": "2155c27ed1d87b9425a83a886066ced25d9659a3e601d02e92674d990875b665",
     "x_problem_over_time.csv": "5fbdf39350ef5af01bffd5906ce1e008859cd80be63e4884cf8ef63f415d3ca4",
@@ -163,30 +158,9 @@ CSV_DIGESTS = {
     "x_problem_tree.json": "ee3897b2d7cff562c1f0e2e10119991c5527e2f98b4ea828bda1ed993786c56f",
 }
 
-# Where other CPython versions differ from 3.11: the correlation sums from
-# 3.12 on. 3.10 writes the 3.11 bytes.
-_CORRELATION_312 = {
-    "scenario": {"correlation.csv": "238b40bc3877a5d65508b21993d625e0ba8214df0f74e472a4b838c9521ca621"},
-    "csv": {"correlation.csv": "e35dd33f08e50b0d7573c6fbd49d39394009cad8b64ae0bc5049fed185226bf4"},
-}
-VERSION_DIFFERENCES = {
-    (3, 10): {"scenario": {}, "csv": {}},
-    (3, 11): {"scenario": {}, "csv": {}},
-    (3, 12): _CORRELATION_312,
-    (3, 13): _CORRELATION_312,
-}
-
-
-def golden(name: str, digests: dict[str, str]) -> dict[str, str]:
-    differences = VERSION_DIFFERENCES.get(sys.version_info[:2])
-    if differences is None:
-        pytest.skip(f"no golden digests recorded for Python {sys.version_info[:2]}")
-    return {**digests, **differences[name]}
-
-
 def test_scenario_artifacts_match_golden_digests(tmp_path):
     result = run_pipeline(config_from_dict(scenario_config(), tmp_path))
-    assert artifact_digests(result.output_dir) == golden("scenario", SCENARIO_DIGESTS)
+    assert artifact_digests(result.output_dir) == SCENARIO_DIGESTS
 
 
 def test_shuffled_csv_artifacts_match_golden_digests(tmp_path):
@@ -197,4 +171,4 @@ def test_shuffled_csv_artifacts_match_golden_digests(tmp_path):
     assert sum(screens["missing_dropped"].values()) > 0
     assert sum(screens["limit_dropped"].values()) > 0
     assert sum(screens["orphans_pruned"].values()) > 0
-    assert artifact_digests(result.output_dir) == golden("csv", CSV_DIGESTS)
+    assert artifact_digests(result.output_dir) == CSV_DIGESTS
