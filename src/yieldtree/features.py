@@ -10,6 +10,7 @@ value per row and gives missing cells for a missing source.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from enum import Enum
@@ -155,6 +156,14 @@ def _centred(values: Sequence[float]) -> tuple[list[float], float | None]:
     return deviations, squares if math.isfinite(squares) else None
 
 
+def _root_product(ssx: float, ssy: float) -> float:
+    """sqrt(ssx * ssy), rooted apart where the product is not a normal finite float."""
+    product = ssx * ssy
+    if sys.float_info.min <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(ssx) * math.sqrt(ssy)
+
+
 def correlation_table(
     table: Table, flag_threshold: float = DEFAULT_CORRELATION_THRESHOLD
 ) -> CorrelationReport:
@@ -199,7 +208,7 @@ def correlation_table(
                 ]
                 (dx, ssx), (dy, ssy) = map(_centred, zip(*present))
             # finite sums of squares bound the covariance: |cov| <= sqrt(ssx * ssy)
-            r = math.fsum(map(mul, dx, dy)) / math.sqrt(ssx * ssy) if ssx and ssy else None
+            r = math.fsum(map(mul, dx, dy)) / _root_product(ssx, ssy) if ssx and ssy else None
             matrix[i][j] = matrix[j][i] = r
             if r is not None and abs(r) >= flag_threshold:
                 flagged.append((a, b, r))

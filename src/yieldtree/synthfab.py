@@ -5,6 +5,10 @@ are synthesized to agree with the k-of-n rejection rule exactly, so the
 rejection-rate lift provably can recover the signal. Every batch draws from
 its own substream seeded by (seed, batch index); generation is therefore
 independent of scheduling and reproducible bit-for-bit.
+
+Each effect class is the one definition of its effect: JSON type name and
+field readers, checks, when it is active, and the rule evidence it should
+leave. A new effect type is one such class plus one entry in PlantedEffect.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Any, Union
+from typing import Any, ClassVar, Union, get_args
 
 from .errors import UsageError
 from .features import DEFAULT_EPOCH
@@ -48,18 +52,44 @@ DEFAULT_SUPPLIERS = 3
 class MachineDefect:
     """One of n parallel machines raises the wafer rejection probability."""
 
+    type_name: ClassVar[str] = "machine_defect"
+    readers: ClassVar[dict] = dict(n_machines=integer, bad_machine_id=integer, delta_p=number)
+
     n_machines: int
     bad_machine_id: int
     delta_p: float
+
+    def __post_init__(self) -> None:
+        if self.n_machines < 1 or not 0 <= self.bad_machine_id < self.n_machines:
+            raise UsageError("bad_machine_id must be in [0, n_machines)")
+
+    def active(self, timestamp: datetime, machine: str, supplier: str, start: datetime) -> bool:
+        return machine == str(self.bad_machine_id)
+
+    def evidence(self) -> tuple[str, Any]:
+        return "machine", str(self.bad_machine_id)
 
 
 @dataclass(frozen=True)
 class SupplierImpurity:
     """Raw material from one supplier raises the rejection probability."""
 
+    type_name: ClassVar[str] = "supplier_impurity"
+    readers: ClassVar[dict] = dict(n_suppliers=integer, bad_supplier_id=integer, delta_p=number)
+
     n_suppliers: int
     bad_supplier_id: int
     delta_p: float
+
+    def __post_init__(self) -> None:
+        if self.n_suppliers < 1 or not 0 <= self.bad_supplier_id < self.n_suppliers:
+            raise UsageError("bad_supplier_id must be in [0, n_suppliers)")
+
+    def active(self, timestamp: datetime, machine: str, supplier: str, start: datetime) -> bool:
+        return supplier == str(self.bad_supplier_id)
+
+    def evidence(self) -> tuple[str, Any]:
+        return "supplier", str(self.bad_supplier_id)
 
 
 @dataclass(frozen=True)
@@ -69,17 +99,46 @@ class ShiftEffect:
     The night is [night_start_hour, night_end_hour) modulo 24.
     """
 
+    type_name: ClassVar[str] = "shift_effect"
+    readers: ClassVar[dict] = dict(night_start_hour=integer, night_end_hour=integer, delta_p=number)
+
     night_start_hour: int
     night_end_hour: int
     delta_p: float
+
+    def __post_init__(self) -> None:
+        for hour in (self.night_start_hour, self.night_end_hour):
+            if not 0 <= hour < 24:
+                raise UsageError("shift hours must be in [0, 24)")
+        if self.night_start_hour == self.night_end_hour:
+            raise UsageError("night shift must not be empty")
+
+    def night_hours(self) -> tuple[int, ...]:
+        start, end = self.night_start_hour, self.night_end_hour
+        return tuple((start + i) % 24 for i in range((end - start) % 24))
+
+    def active(self, timestamp: datetime, machine: str, supplier: str, start: datetime) -> bool:
+        return timestamp.hour in self.night_hours()
+
+    def evidence(self) -> tuple[str, Any]:
+        return "hour_of_day", self.night_hours()
 
 
 @dataclass(frozen=True)
 class StepChange:
     """A one-off event: batches started at or after at_time suffer."""
 
+    type_name: ClassVar[str] = "step_change"
+    readers: ClassVar[dict] = dict(at_time=parse_timestamp, delta_p=number)
+
     at_time: datetime
     delta_p: float
+
+    def active(self, timestamp: datetime, machine: str, supplier: str, start: datetime) -> bool:
+        return timestamp >= self.at_time
+
+    def evidence(self) -> tuple[str, Any]:
+        return "minutes_from_epoch", ((self.at_time - DEFAULT_EPOCH) // timedelta(minutes=1), None)
 
 
 @dataclass(frozen=True)
@@ -87,8 +146,22 @@ class CyclicEffect:
     """Periodic degradation: active during the positive half of a sine wave
     of the given period, phased from the scenario start time."""
 
+    type_name: ClassVar[str] = "cyclic_effect"
+    readers: ClassVar[dict] = dict(period_hours=number, delta_p=number)
+
     period_hours: float
     delta_p: float
+
+    def __post_init__(self) -> None:
+        if self.period_hours <= 0:
+            raise UsageError("period_hours must be positive")
+
+    def active(self, timestamp: datetime, machine: str, supplier: str, start: datetime) -> bool:
+        phase = (timestamp - start) / timedelta(hours=self.period_hours)
+        return math.sin(2.0 * math.pi * phase) >= 0.0
+
+    def evidence(self) -> tuple[str, Any]:
+        return "minutes_from_epoch", f"period={self.period_hours}h"
 
 
 PlantedEffect = Union[MachineDefect, SupplierImpurity, ShiftEffect, StepChange, CyclicEffect]
@@ -123,30 +196,10 @@ class FabScenario:
         if not 1 <= self.rule_min_count <= self.sites_per_wafer:
             raise UsageError("rule_min_count must be in [1, sites_per_wafer]")
         object.__setattr__(self, "effects", tuple(self.effects))
-        for effect in self.effects:
-            self._check_effect(effect)
-
-    def _check_effect(self, effect: PlantedEffect) -> None:
         ceiling = 1.0 - self.base_reject_prob
-        if not 0.0 <= effect.delta_p <= ceiling:
-            raise UsageError(
-                f"{type(effect).__name__}.delta_p must be in [0, {ceiling}]"
-            )
-        if isinstance(effect, MachineDefect):
-            if effect.n_machines < 1 or not 0 <= effect.bad_machine_id < effect.n_machines:
-                raise UsageError("bad_machine_id must be in [0, n_machines)")
-        elif isinstance(effect, SupplierImpurity):
-            if effect.n_suppliers < 1 or not 0 <= effect.bad_supplier_id < effect.n_suppliers:
-                raise UsageError("bad_supplier_id must be in [0, n_suppliers)")
-        elif isinstance(effect, ShiftEffect):
-            for hour in (effect.night_start_hour, effect.night_end_hour):
-                if not 0 <= hour < 24:
-                    raise UsageError("shift hours must be in [0, 24)")
-            if effect.night_start_hour == effect.night_end_hour:
-                raise UsageError("night shift must not be empty")
-        elif isinstance(effect, CyclicEffect):
-            if effect.period_hours <= 0:
-                raise UsageError("period_hours must be positive")
+        for effect in self.effects:
+            if not 0.0 <= effect.delta_p <= ceiling:
+                raise UsageError(f"{type(effect).__name__}.delta_p must be in [0, {ceiling}]")
 
     @property
     def n_machines(self) -> int:
@@ -170,38 +223,12 @@ class FabScenario:
         return self.start_time + timedelta(minutes=index * self.batch_interval_minutes)
 
 
-def _night_hours(effect: ShiftEffect) -> tuple[int, ...]:
-    start, end = effect.night_start_hour, effect.night_end_hour
-    if start < end:
-        return tuple(range(start, end))
-    return tuple(range(start, 24)) + tuple(range(0, end))
-
-
-def _effect_active(
-    effect: PlantedEffect,
-    timestamp: datetime,
-    machine: str,
-    supplier: str,
-    scenario_start: datetime,
-) -> bool:
-    if isinstance(effect, MachineDefect):
-        return machine == str(effect.bad_machine_id)
-    if isinstance(effect, SupplierImpurity):
-        return supplier == str(effect.bad_supplier_id)
-    if isinstance(effect, ShiftEffect):
-        return timestamp.hour in _night_hours(effect)
-    if isinstance(effect, StepChange):
-        return timestamp >= effect.at_time
-    phase = (timestamp - scenario_start) / timedelta(hours=effect.period_hours)
-    return math.sin(2.0 * math.pi * phase) >= 0.0
-
-
 def _reject_probability(scenario: FabScenario, timestamp: datetime, machine: str, supplier: str) -> float:
     p = scenario.base_reject_prob
     for effect in scenario.effects:
-        if _effect_active(effect, timestamp, machine, supplier, scenario.start_time):
+        if effect.active(timestamp, machine, supplier, scenario.start_time):
             p += effect.delta_p
-    return min(max(p, 0.0), 1.0)
+    return min(p, 1.0)
 
 
 def _zero_padded(count: int, minimum_width: int) -> list[str]:
@@ -311,22 +338,7 @@ class GroundTruthEntry:
 
 def ground_truth(scenario: FabScenario) -> list[GroundTruthEntry]:
     """Map each planted effect to the feature and value(s) implicating it."""
-    entries = []
-    for effect in scenario.effects:
-        if isinstance(effect, MachineDefect):
-            entries.append(GroundTruthEntry(effect, "machine", str(effect.bad_machine_id)))
-        elif isinstance(effect, SupplierImpurity):
-            entries.append(GroundTruthEntry(effect, "supplier", str(effect.bad_supplier_id)))
-        elif isinstance(effect, ShiftEffect):
-            entries.append(GroundTruthEntry(effect, "hour_of_day", _night_hours(effect)))
-        elif isinstance(effect, StepChange):
-            onset = (effect.at_time - DEFAULT_EPOCH) // timedelta(minutes=1)
-            entries.append(GroundTruthEntry(effect, "minutes_from_epoch", (onset, None)))
-        else:
-            entries.append(
-                GroundTruthEntry(effect, "minutes_from_epoch", f"period={effect.period_hours}h")
-            )
-    return entries
+    return [GroundTruthEntry(effect, *effect.evidence()) for effect in scenario.effects]
 
 
 def planted_labels(scenario: FabScenario, dataset: HierarchicalDataset) -> list[int]:
@@ -336,38 +348,18 @@ def planted_labels(scenario: FabScenario, dataset: HierarchicalDataset) -> list[
     data.
     """
     batch = dataset.table(GranularityLevel.BATCH)
-    timestamps = batch.values("timestamp")
-    machines = batch.values("machine")
-    suppliers = batch.values("supplier")
-    labels = []
-    for timestamp, machine, supplier in zip(timestamps, machines, suppliers):
-        active = any(
-            _effect_active(effect, timestamp, machine, supplier, scenario.start_time)
-            for effect in scenario.effects
-        )
-        labels.append(1 if active else 0)
-    return labels
+    return [
+        int(any(effect.active(*cells, scenario.start_time) for effect in scenario.effects))
+        for cells in zip(*map(batch.values, ("timestamp", "machine", "supplier")))
+    ]
 
 
-# effect type name -> (class, a reader per field)
-_EFFECTS = {
-    "machine_defect": (
-        MachineDefect, dict(n_machines=integer, bad_machine_id=integer, delta_p=number)
-    ),
-    "supplier_impurity": (
-        SupplierImpurity, dict(n_suppliers=integer, bad_supplier_id=integer, delta_p=number)
-    ),
-    "shift_effect": (
-        ShiftEffect, dict(night_start_hour=integer, night_end_hour=integer, delta_p=number)
-    ),
-    "step_change": (StepChange, dict(at_time=parse_timestamp, delta_p=number)),
-    "cyclic_effect": (CyclicEffect, dict(period_hours=number, delta_p=number)),
-}
+_EFFECTS = {effect.type_name: effect for effect in get_args(PlantedEffect)}
 
 
 def _effect_from_dict(doc: Any) -> PlantedEffect:
-    (effect, readers), fields = read_tagged(doc, "effect", "type", choice(_EFFECTS))
-    return instance(effect, f"{doc['type']} effect", **readers)(fields)
+    effect, fields = read_tagged(doc, "effect", "type", choice(_EFFECTS))
+    return instance(effect, f"{doc['type']} effect", **effect.readers)(fields)
 
 
 _SCENARIO = instance(
@@ -385,11 +377,8 @@ def scenario_from_dict(doc: Any) -> FabScenario:
 
 def scenario_to_dict(scenario: FabScenario) -> dict:
     """Inverse of scenario_from_dict, for echoing scenarios to disk."""
-    names = {cls: name for name, (cls, _) in _EFFECTS.items()}
     doc = _json_fields(scenario)
-    doc["effects"] = [
-        {"type": names[type(effect)], **_json_fields(effect)} for effect in scenario.effects
-    ]
+    doc["effects"] = [{"type": e.type_name, **_json_fields(e)} for e in scenario.effects]
     return doc
 
 

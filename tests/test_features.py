@@ -287,6 +287,18 @@ class TestCorrelationTable:
             "a,big,,0", "a,wide,,0", "big,wide,,0"
         ]
 
+    @pytest.mark.parametrize("scale", ["e-100", "e100"])
+    def test_sums_of_squares_whose_product_leaves_the_float_range(self, scale):
+        # both sums of squares are finite, but their product underflows to 0.0
+        # (e-100) or overflows to inf (e100); r is 0.4 at every scale
+        table = columns_table({
+            "a": [float(digit + scale) for digit in "1243"],
+            "b": [float(digit + scale) for digit in "1324"],
+        })
+        report = correlation_table(table)
+        assert report.coefficient("a", "b") == pytest.approx(0.4, rel=0, abs=1e-15)
+        assert report.flagged_pairs == ()
+
     def test_preconditions(self):
         with pytest.raises(UsageError):
             correlation_table(columns_table({"a": [1.0, 2.0]}))

@@ -1,6 +1,7 @@
 import math
+import re
 import statistics
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -23,6 +24,31 @@ from yieldtree.synthfab import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+# The README's five planted effects, as its scenario JSON spells them.
+README_EFFECTS = [
+    {"type": "machine_defect", "n_machines": 4, "bad_machine_id": 3, "delta_p": 0.4},
+    {"type": "supplier_impurity", "n_suppliers": 3, "bad_supplier_id": 2, "delta_p": 0.2},
+    {"type": "shift_effect", "night_start_hour": 22, "night_end_hour": 6, "delta_p": 0.3},
+    {"type": "step_change", "at_time": "1990-02-01 00:00", "delta_p": 0.4},
+    {"type": "cyclic_effect", "period_hours": 24, "delta_p": 0.2},
+]
+
+
+def readme_scenario(effects=README_EFFECTS, **fields):
+    return scenario_from_dict({"seed": 5, "n_batches": 8, **fields, "effects": effects})
+
+
+# When each README effect is active for a batch, from the README's definitions.
+README_ACTIVE = {
+    "machine_defect": lambda timestamp, machine, supplier, start: machine == "3",
+    "supplier_impurity": lambda timestamp, machine, supplier, start: supplier == "2",
+    "shift_effect": lambda timestamp, machine, supplier, start: not 6 <= timestamp.hour < 22,
+    "step_change": lambda timestamp, machine, supplier, start: timestamp >= datetime(1990, 2, 1),
+    "cyclic_effect": lambda timestamp, machine, supplier, start: math.sin(
+        2.0 * math.pi * ((timestamp - start) / timedelta(hours=24))
+    ) >= 0.0,
+}
 
 
 class TestShape:
@@ -132,6 +158,39 @@ class TestGroundTruth:
         assert entry.feature == "minutes_from_epoch"
         assert entry.value == (31 * 1440, None)
 
+    def test_supplier_impurity_mapping(self):
+        effect = SupplierImpurity(3, 2, 0.2)
+        entry = ground_truth(FabScenario(seed=1, n_batches=2, effects=(effect,)))[0]
+        assert (entry.effect, entry.feature, entry.value) == (effect, "supplier", "2")
+
+    def test_cyclic_effect_names_its_period(self):
+        effect = CyclicEffect(24.0, 0.2)
+        entry = ground_truth(FabScenario(seed=1, n_batches=2, effects=(effect,)))[0]
+        assert (entry.effect, entry.feature, entry.value) == (
+            effect, "minutes_from_epoch", "period=24.0h"
+        )
+
+    @pytest.mark.parametrize(
+        "effects", [[effect] for effect in README_EFFECTS] + [README_EFFECTS],
+        ids=[effect["type"] for effect in README_EFFECTS] + ["all_five"],
+    )
+    def test_planted_labels_of_readme_effects(self, effects):
+        # 600 batches 100 minutes apart start in every hour of the day and run
+        # past the step change on 1990-02-01
+        scenario = readme_scenario(
+            effects, n_batches=600, batch_interval_minutes=100,
+            wafers_per_batch=1, sites_per_wafer=2,
+        )
+        dataset = generate(scenario)
+        batch = dataset.table(BATCH)
+        tests = [README_ACTIVE[effect["type"]] for effect in effects]
+        expected = [
+            int(any(active(*cells, scenario.start_time) for active in tests))
+            for cells in zip(*map(batch.values, ("timestamp", "machine", "supplier")))
+        ]
+        assert planted_labels(scenario, dataset) == expected
+        assert 0 < sum(expected) < len(expected)
+
     def test_no_effects_is_empty(self):
         assert ground_truth(FabScenario(seed=1, n_batches=2)) == []
 
@@ -161,6 +220,26 @@ class TestValidation:
             FabScenario(seed=1, n_batches=2, rule_min_count=9)
 
 
+    @pytest.mark.parametrize("effect, message", [
+        ({"type": "shift_effect", "night_start_hour": 24, "night_end_hour": 6},
+         "shift hours must be in [0, 24)"),
+        ({"type": "shift_effect", "night_start_hour": 22, "night_end_hour": -1},
+         "shift hours must be in [0, 24)"),
+        ({"type": "shift_effect", "night_start_hour": 5, "night_end_hour": 5},
+         "night shift must not be empty"),
+        ({"type": "cyclic_effect", "period_hours": 0}, "period_hours must be positive"),
+        ({"type": "cyclic_effect", "period_hours": -24.0}, "period_hours must be positive"),
+    ])
+    def test_effect_checks_keep_their_messages(self, effect, message):
+        exact = f"^{re.escape(message)}$"
+        effect = dict(effect, delta_p=0.3)
+        with pytest.raises(UsageError, match=exact):
+            scenario_from_dict({"seed": 1, "n_batches": 2, "effects": [effect]})
+        cls = {"shift_effect": ShiftEffect, "cyclic_effect": CyclicEffect}[effect.pop("type")]
+        with pytest.raises(UsageError, match=exact):
+            FabScenario(seed=1, n_batches=2, effects=(cls(**effect),))
+
+
 class TestScenarioJson:
     def test_round_trip(self):
         scenario = FabScenario(
@@ -176,6 +255,13 @@ class TestScenarioJson:
             ),
         )
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+    def test_to_dict_writes_the_five_type_names(self):
+        doc = scenario_to_dict(readme_scenario())
+        assert [effect["type"] for effect in doc["effects"]] == [
+            "machine_defect", "supplier_impurity", "shift_effect", "step_change", "cyclic_effect"
+        ]
+        assert doc["effects"] == README_EFFECTS
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(UsageError):
