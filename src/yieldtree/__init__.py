@@ -72,10 +72,10 @@ from .model import (
     Table,
     ValidationReport,
     group_by_ancestor,
-    is_missing,
     join_tables,
     validate_hierarchy,
 )
+from .pipeline import VERSION as __version__
 from .pipeline import PipelineConfig, RunResult, config_from_dict, load_config, run_pipeline
 from .synthfab import (
     CyclicEffect,
@@ -102,5 +102,3 @@ from .target import (
     threshold_valley,
     yield_series,
 )
-
-__version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 Cyclical encodings expose hour-of-day style patterns; the sequential
 encoding (whole minutes from a fixed epoch) exposes one-off events and is
-decoded back to a calendar timestamp for reporting. Every encoding, batch
-order included, appends its columns through `_derive`, which maps one source
-value per row and gives missing cells for a missing source.
+decoded back to a calendar timestamp for reporting; batch order reads the
+decimal digits of a batch id, and an id without one is a DataError. Every
+encoding appends its columns through `_derive`, which maps one source value
+per row and gives missing cells for a missing source.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import mul, sub
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .ingest import write_csv
 from .lift import mean
 from .model import MISSING, Column, ColumnKind, Table
@@ -35,7 +36,6 @@ DEFAULT_CORRELATION_THRESHOLD = 0.95
 
 
 class TimeMode(str, Enum):
-    CYCLICAL = "cyclical"
     SEQUENTIAL = "sequential"
 
 
@@ -81,8 +81,6 @@ def encode_cyclical(
 
 def encode_sequential(table: Table, time_column: str, spec: TimeEncodingSpec) -> Table:
     """Add minutes_from_epoch: whole minutes from spec.epoch (negative allowed)."""
-    if spec.mode is not TimeMode.SEQUENTIAL:
-        raise UsageError("encode_sequential needs a sequential TimeEncodingSpec")
     if table.column(time_column).kind is not ColumnKind.TIMESTAMP:
         raise UsageError(f"column {time_column!r} is not a timestamp")
     column = Column(SEQUENTIAL_COLUMN, ColumnKind.NUMERIC, units="minutes")
@@ -94,14 +92,14 @@ def encode_sequential(table: Table, time_column: str, spec: TimeEncodingSpec) ->
 
 def decode_sequential(minutes: int, spec: TimeEncodingSpec) -> datetime:
     """Inverse of encode_sequential for minute-precision timestamps."""
-    if spec.mode is not TimeMode.SEQUENTIAL:
-        raise UsageError("decode_sequential needs a sequential TimeEncodingSpec")
     return spec.epoch + timedelta(minutes=int(minutes))
 
 
-def _digit_order(value: str) -> tuple[Any]:
+def _digit_order(value: str) -> tuple[int]:
     digits = "".join(ch for ch in value if ch.isdecimal())
-    return (int(digits) if digits else MISSING,)
+    if not digits:
+        raise DataError(f"batch id {value!r} has no decimal digit to order by")
+    return (int(digits),)
 
 
 def order_from_batch_id(table: Table, id_column: str) -> Table:
@@ -109,7 +107,8 @@ def order_from_batch_id(table: Table, id_column: str) -> Table:
 
     id_column may name an identifier-kind data column or one of the key
     fields (batch_id, wafer_id, site_id, ic_id) at or above the table's
-    level. IDs without digits get a missing batch_order.
+    level. A missing ID gets a missing batch_order; a present ID without a
+    decimal digit is a DataError.
     """
     if table.has_column(id_column):
         if table.column(id_column).kind is not ColumnKind.IDENTIFIER:

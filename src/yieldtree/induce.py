@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 from .errors import DataError, UsageError
-from .features import SEQUENTIAL_COLUMN, TimeEncodingSpec, TimeMode, decode_sequential
+from .features import SEQUENTIAL_COLUMN, TimeEncodingSpec, decode_sequential
 from .ingest import format_timestamp
 from .lift import midpoint
 from .model import MISSING, Column, ColumnKind, LabeledDataset
@@ -145,8 +145,6 @@ def _encode_node(node: TreeNode) -> dict:
 
 def _gini(n0: int, n1: int) -> float:
     n = n0 + n1
-    if n == 0:
-        return 0.0
     p1 = n1 / n
     p0 = n0 / n
     return 1.0 - p0 * p0 - p1 * p1
@@ -370,17 +368,12 @@ def _render_condition(condition: Condition, sequential: TimeEncodingSpec | None)
     return condition.describe()
 
 
-def render_report(
-    rules: Sequence[Rule], encodings: Sequence[TimeEncodingSpec] = ()
-) -> str:
+def render_report(rules: Sequence[Rule], sequential: TimeEncodingSpec | None = None) -> str:
     """Plain-text report, one line per rule.
 
     Conditions on the minutes_from_epoch column are decoded back to calendar
     timestamps when a sequential encoding spec is supplied.
     """
-    sequential = next(
-        (spec for spec in encodings if spec.mode is TimeMode.SEQUENTIAL), None
-    )
     if not rules:
         return "No rules found: no leaf predicts the target class.\n"
     lines = []

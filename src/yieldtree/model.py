@@ -54,10 +54,6 @@ class _Missing:
 MISSING = _Missing()
 
 
-def is_missing(value: Any) -> bool:
-    return value is MISSING
-
-
 class ColumnKind(IntEnum):
     NUMERIC = 0
     CATEGORICAL = 1

@@ -4,8 +4,10 @@
 The config is a single JSON document (see README for the annotated schema).
 Reruns with identical config and inputs produce byte-identical artifacts:
 the manifest carries no timestamps, JSON is written with sorted keys, and
-every stage is deterministic. Each target's source values and histogram are
-computed before the output directory is made, so bad target data leaves none.
+every stage is deterministic. An empty screened batch table and each target's
+values, histogram and threshold are checked before the output directory is
+made, so bad target data leaves no output. The input rows are freed before
+run_pipeline returns; the result keeps the batch-level tables.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from typing import Any, Sequence
 
 from . import features as feats
 from . import ingest, lift, synthfab, target as targeting
-from .errors import DataError, NoValleyError, UsageError
+from .errors import DataError, EmptyDatasetError, NoValleyError, UsageError
 from .induce import (
     DecisionTree,
-    EvalReport,
     Rule,
     TrainConfig,
     evaluate,
@@ -279,21 +280,17 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 @dataclass
 class TargetResult:
-    directive: TargetDirective
     threshold: float | None
     grey_deleted: int
     labeled: LabeledDataset | None
     tree: DecisionTree | None
     rules: list[Rule]
     report_text: str | None
-    evaluation: EvalReport | None
-    artifacts: dict[str, str]
 
 
 @dataclass
 class RunResult:
     manifest: dict
-    dataset: HierarchicalDataset
     analysis: Table
     feature_table: Table
     correlation: feats.CorrelationReport | None
@@ -351,23 +348,22 @@ def _apply_lifts(
 
 def _apply_encodings(
     analysis: Table, settings: EncodingSettings
-) -> tuple[Table, list[feats.TimeEncodingSpec], dict]:
+) -> tuple[Table, feats.TimeEncodingSpec | None, dict]:
     meta: dict[str, list[str]] = {}
     if settings.cyclical:
         analysis = feats.encode_cyclical(
             analysis, settings.cyclical.time_column, settings.cyclical.holidays
         )
         meta["cyclical"] = list(feats.CYCLICAL_COLUMNS)
-    specs: list[feats.TimeEncodingSpec] = []
+    spec = None
     if settings.sequential:
         spec = feats.TimeEncodingSpec(feats.TimeMode.SEQUENTIAL, epoch=settings.sequential.epoch)
         analysis = feats.encode_sequential(analysis, settings.sequential.time_column, spec)
         meta["sequential"] = [feats.SEQUENTIAL_COLUMN]
-        specs.append(spec)
     if settings.batch_order:
         analysis = feats.order_from_batch_id(analysis, settings.batch_order.id_column)
         meta["batch_order"] = [feats.BATCH_ORDER_COLUMN]
-    return analysis, specs, meta
+    return analysis, spec, meta
 
 
 def _time_column(settings: EncodingSettings, analysis: Table) -> str | None:
@@ -386,12 +382,6 @@ def _holdout_mask(n: int, fraction: float, seed: int) -> list[bool]:
         for i in PortableRandom(seed).shuffled(range(n))[: int(fraction * n)]:
             held_out[i] = True
     return held_out
-
-
-def _eval_to_dict(report: EvalReport | None) -> dict | None:
-    if report is None:
-        return None
-    return {**asdict(report), "precision": report.precision, "recall": report.recall}
 
 
 def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult:
@@ -438,13 +428,19 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
 
     # --- screens
     dataset, screen_meta = _screen_dataset(dataset, config.screens)
+    analysis = dataset.table(GranularityLevel.BATCH)
+    if not analysis.rows:
+        raise EmptyDatasetError(
+            "no batch is left after the screens: "
+            f"{screen_meta['missing_dropped'].get('batch', 0)} dropped for missing cells, "
+            f"{screen_meta['limit_dropped'].get('batch', 0)} for sensor limits"
+        )
 
     # --- lifts onto the batch-level analysis table
-    analysis = dataset.table(GranularityLevel.BATCH)
     analysis, lift_meta = _apply_lifts(dataset, analysis, config.lifts)
 
     # --- time encodings
-    analysis, encoding_specs, encoding_meta = _apply_encodings(analysis, config.encodings)
+    analysis, sequential, encoding_meta = _apply_encodings(analysis, config.encodings)
 
     # --- feature candidates: everything except target sources and excludes
     known = set(analysis.column_names).union(
@@ -455,9 +451,9 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
         raise UsageError(
             f"features.exclude names no analysis or input column: {', '.join(map(repr, unknown))}"
         )
-    # --- every target's source values and histogram, before any artifact is
-    # written, in analysis-row (= batch-table) order; a lifted problem rule's
-    # column is reused
+    # --- every target's source values, histogram and threshold, before any
+    # artifact is written, in analysis-row (= batch-table) order; a lifted
+    # problem rule's column is reused. A report previews no valley threshold.
     lifted_rules = {d for d in config.lifts if isinstance(d, lift.RejectionRule)}
     target_values = []
     for t in config.targets:
@@ -473,7 +469,14 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
             if MISSING in values:
                 gap = analysis.rows[values.index(MISSING)].key
                 raise DataError(f"target {t.name!r}: {source!r} is missing for batch {gap}")
-        target_values.append((values, targeting.histogram(values, t.histogram_bins)))
+        histogram_report = targeting.histogram(values, t.histogram_bins)
+        try:
+            threshold = t.spec.resolve_threshold(values)
+        except NoValleyError:
+            if not report_only:
+                raise
+            threshold = None
+        target_values.append((values, histogram_report, threshold))
     source_columns = {t.spec.source_column for t in config.targets}
     shielded = source_columns | set(config.feature_excludes)
     feature_table = analysis.without_columns(
@@ -506,30 +509,13 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
     times = None if time_column is None else analysis.values(time_column)
     target_results: dict[str, TargetResult] = {}
     target_meta = []
-    for directive, (values, histogram_report) in zip(config.targets, target_values):
-        result = _run_target(
-            directive, values, histogram_report, times, feature_table, encoding_specs,
+    for directive, (values, histogram_report, threshold) in zip(config.targets, target_values):
+        result, entry = _run_target(
+            directive, values, histogram_report, threshold, times, feature_table, sequential,
             config.train, output_dir, report_only,
         )
         target_results[directive.name] = result
-        labeled = result.labeled
-        target_meta.append(
-            {
-                "name": directive.name,
-                "source": directive.spec.source_column,
-                "strategy": directive.spec.strategy.value,
-                "direction": directive.spec.direction.value,
-                "threshold": result.threshold,
-                "grey_half_width": directive.spec.grey_half_width,
-                "grey_deleted": result.grey_deleted,
-                "labeled": None
-                if labeled is None
-                else {"rows": len(labeled), "positive": labeled.positives},
-                "evaluation": _eval_to_dict(result.evaluation),
-                "rules": len(result.rules),
-                "artifacts": result.artifacts,
-            }
-        )
+        target_meta.append(entry)
 
     manifest = {
         "mode": "report" if report_only else "analyze",
@@ -546,7 +532,6 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
 
     return RunResult(
         manifest=manifest,
-        dataset=dataset,
         analysis=analysis,
         feature_table=feature_table,
         correlation=correlation,
@@ -559,15 +544,23 @@ def _run_target(
     directive: TargetDirective,
     values: list[float],
     histogram_report: targeting.HistogramReport,
+    threshold: float | None,
     times: list[datetime] | None,
     feature_table: Table,
-    encoding_specs: list[feats.TimeEncodingSpec],
+    sequential: feats.TimeEncodingSpec | None,
     train_settings: TrainSettings,
     output_dir: Path,
     report_only: bool,
-) -> TargetResult:
+) -> tuple[TargetResult, dict]:
+    """The target's result and its manifest entry."""
     artifacts: dict[str, str] = {}
     spec = directive.spec
+    entry = {
+        "name": directive.name, "source": spec.source_column, "strategy": spec.strategy.value,
+        "direction": spec.direction.value, "threshold": threshold,
+        "grey_half_width": spec.grey_half_width, "grey_deleted": 0, "labeled": None,
+        "evaluation": None, "rules": 0, "artifacts": artifacts,
+    }
     histogram_name = f"{directive.name}_histogram.csv"
     targeting.write_histogram_csv(histogram_report, output_dir / histogram_name)
     artifacts["histogram"] = histogram_name
@@ -579,30 +572,22 @@ def _run_target(
         artifacts["series"] = series_name
 
     if report_only:
-        try:
-            threshold = spec.resolve_threshold(values)
-        except NoValleyError:
-            threshold = None
-        return TargetResult(
-            directive, threshold, 0, None, None, [], None, None, artifacts
-        )
+        return TargetResult(threshold, 0, None, None, [], None), entry
 
-    threshold = spec.resolve_threshold(values)
     labeled, grey_deleted = targeting.apply_grey_region(
         feature_table, values, threshold, spec.grey_half_width, spec.direction
     )
 
-    held_out = _holdout_mask(
-        len(labeled),
-        train_settings.test_fraction,
-        derive_seed(train_settings.split_seed, directive.name),
-    )
+    seed = derive_seed(train_settings.split_seed, directive.name)
+    held_out = _holdout_mask(len(labeled), train_settings.test_fraction, seed)
     train_set = labeled.filter_rows([not h for h in held_out]) if any(held_out) else labeled
     tree = train(train_set, train_settings.config)
-    evaluation = evaluate(tree, labeled.filter_rows(held_out)) if any(held_out) else None
+    if any(held_out):
+        report = evaluate(tree, labeled.filter_rows(held_out))
+        entry["evaluation"] = {**asdict(report), "precision": report.precision, "recall": report.recall}
 
     rules = extract_rules(tree)
-    report_text = render_report(rules, encoding_specs)
+    report_text = render_report(rules, sequential)
     rules_name = f"{directive.name}_rules.txt"
     (output_dir / rules_name).write_text(report_text, encoding="utf-8")
     artifacts["rules"] = rules_name
@@ -610,6 +595,9 @@ def _run_target(
     write_json(tree.to_dict(), output_dir / tree_name)
     artifacts["tree"] = tree_name
 
-    return TargetResult(
-        directive, threshold, grey_deleted, labeled, tree, rules, report_text, evaluation, artifacts
+    entry.update(
+        grey_deleted=grey_deleted,
+        labeled={"rows": len(labeled), "positive": labeled.positives},
+        rules=len(rules),
     )
+    return TargetResult(threshold, grey_deleted, labeled, tree, rules, report_text), entry

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import BATCH, batch_key
 from oracles import pearson_oracle, zeller_day_of_week
-from yieldtree.errors import UsageError
+from yieldtree.errors import DataError, UsageError
 from yieldtree.features import (
     DEFAULT_EPOCH,
     TimeEncodingSpec,
@@ -21,7 +21,7 @@ from yieldtree.features import (
     order_from_batch_id,
     write_correlation_csv,
 )
-from yieldtree.model import MISSING, Column, ColumnKind, Row, Table, is_missing
+from yieldtree.model import MISSING, Column, ColumnKind, Row, Table
 
 
 def timestamp_table(timestamps):
@@ -63,7 +63,7 @@ class TestCyclical:
 
     def test_missing_timestamp_encodes_missing(self):
         table = encode_cyclical(timestamp_table([MISSING]), "ts")
-        assert all(is_missing(table.row_mapping(table.rows[0])[c]) for c in
+        assert all(table.row_mapping(table.rows[0])[c] is MISSING for c in
                    ("hour_of_day", "day_of_week", "week_of_month", "is_weekend", "is_holiday"))
 
     def test_missing_timestamp_leaves_the_next_row_encoded(self):
@@ -142,13 +142,15 @@ class TestBatchOrder:
         table = order_from_batch_id(self._ids_table(["LOT12A07"]), "lot")
         assert table.values("batch_order") == [1207]
 
-    def test_no_digits_is_missing(self):
-        table = order_from_batch_id(self._ids_table(["BATCH"]), "lot")
-        assert is_missing(table.values("batch_order")[0])
+    def test_no_digits_is_a_data_error(self):
+        with pytest.raises(DataError, match="'BATCH' has no decimal digit"):
+            order_from_batch_id(self._ids_table(["BATCH"]), "lot")
 
     def test_only_decimal_digits_count(self):
-        table = order_from_batch_id(self._ids_table(["B²", "B1²"]), "lot")
-        assert table.values("batch_order") == [MISSING, 1]
+        table = order_from_batch_id(self._ids_table(["B1²"]), "lot")
+        assert table.values("batch_order") == [1]
+        with pytest.raises(DataError, match="'B²' has no decimal digit"):
+            order_from_batch_id(self._ids_table(["B²"]), "lot")
 
     def test_missing_id_is_missing(self):
         table = order_from_batch_id(self._ids_table([MISSING, "B-7"]), "lot")
@@ -265,7 +267,7 @@ class TestCorrelationTable:
                 present = [
                     (x, y)
                     for x, y in zip(named[a], named[b])
-                    if not is_missing(x) and not is_missing(y)
+                    if x is not MISSING and y is not MISSING
                 ]
                 xs, ys = [x for x, _ in present], [y for _, y in present]
                 assert repr(report.matrix[i][j]) == repr(exact_sum_pearson(xs, ys)), (a, b)

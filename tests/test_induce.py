@@ -391,7 +391,7 @@ class TestRenderReport:
             support=10,
             confidence=1.0,
         )
-        text = render_report([rule], [spec])
+        text = render_report([rule], spec)
         assert "time <= 1990-01-02 00:00" in text
 
     def test_negated_time_condition(self):
@@ -401,7 +401,7 @@ class TestRenderReport:
             support=10,
             confidence=1.0,
         )
-        assert "time > 1990-01-02 00:00" in render_report([rule], [spec])
+        assert "time > 1990-01-02 00:00" in render_report([rule], spec)
 
     def test_empty_rule_list(self):
         assert "no rules found" in render_report([]).lower()

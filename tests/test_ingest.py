@@ -28,7 +28,6 @@ from yieldtree.model import (
     GranularityLevel,
     Row,
     Table,
-    is_missing,
 )
 
 
@@ -56,7 +55,7 @@ class TestLoadTable:
     def test_missing_token_becomes_marker(self, tmp_path, batch_schema):
         path = write_csv(tmp_path, "batch_id,oven_temp\nb1,NA\n")
         table = load_table(path, batch_schema)
-        assert is_missing(table.values("oven_temp")[0])
+        assert table.values("oven_temp")[0] is MISSING
 
     def test_malformed_numeric_names_row_and_column(self, tmp_path, batch_schema):
         path = write_csv(tmp_path, "batch_id,oven_temp\nb1,350\nb2,12..5\n")

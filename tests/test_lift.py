@@ -28,7 +28,6 @@ from yieldtree.model import (
     Row,
     Table,
     group_by_ancestor,
-    is_missing,
 )
 
 
@@ -315,7 +314,7 @@ class TestBroadcastDown:
 
     def test_missing_value_broadcasts_missing(self):
         table = broadcast_down(self._dataset(MISSING), "oven_temp", BATCH, WAFER)
-        assert all(is_missing(v) for v in table.values("oven_temp"))
+        assert all(v is MISSING for v in table.values("oven_temp"))
 
     def test_levels_must_be_coarser_to_finer(self):
         with pytest.raises(UsageError):

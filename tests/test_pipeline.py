@@ -2,12 +2,14 @@ import copy
 import gc
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import SITE, build_hierarchy
 from test_golden import X_RULE, csv_config, scenario_config, write_shuffled_csvs
+from yieldtree import synthfab
 from yieldtree.cli import main
 from yieldtree.errors import AnalysisError, DataError, UsageError
 from yieldtree.model import Column, ColumnKind, Table
@@ -448,6 +450,20 @@ class TestScreensAndCascade:
         assert all(screened.tables[level] is dataset.tables[level] for level in dataset.levels)
 
 
+def batch_csv_config(directory: Path, rows: str, target: dict) -> dict:
+    """One batch CSV under batch_id,oven_temp,yield, oven_temp limited to [300, 400]."""
+    (directory / "batch.csv").write_text("batch_id,oven_temp,yield\n" + rows, encoding="utf-8")
+    return {
+        "input": {"csv": [{
+            "path": "batch.csv", "level": "batch", "key_columns": ["batch_id"],
+            "columns": [{"name": "oven_temp", "kind": "numeric", "sensor_limits": [300, 400]},
+                        {"name": "yield", "kind": "numeric"}],
+        }]},
+        "targets": [dict({"name": "low_yield", "source_column": "yield"}, **target)],
+        "outputs": {"dir": "out"},
+    }
+
+
 class TestExitCodes:
     def write_config(self, tmp_path, doc):
         path = tmp_path / "config.json"
@@ -633,6 +649,102 @@ class TestExitCodes:
         assert main(["analyze"]) == 1
         assert main(["not-a-command"]) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_no_batch_left_after_the_screens_exits_three(self, tmp_path, capsys, command):
+        doc = batch_csv_config(tmp_path, "b1,NA,90\nb2,500,80\nb3,350,\n", {})
+        path = self.write_config(tmp_path, doc)
+        assert main([command, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "analysis error: no batch is left after the screens: "
+            "2 dropped for missing cells, 1 for sensor limits\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize("rows, target, message", [
+        pytest.param("b1,350,90\nb2,500,80\n", {}, "median threshold needs at least 2 values",
+                     id="one-batch-median"),
+        pytest.param("b1,350,90\nb2,360,90\nb3,370,90\n", {"strategy": "valley", "bins": 3},
+                     "valley detection needs at least 2 distinct values", id="constant-valley"),
+    ])
+    def test_threshold_that_cannot_be_resolved_leaves_no_output(
+        self, tmp_path, capsys, command, rows, target, message
+    ):
+        path = self.write_config(tmp_path, batch_csv_config(tmp_path, rows, target))
+        assert main([command, "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("correlation", [True, False])
+    def test_batch_id_without_a_digit_exits_two_before_any_artifact(
+        self, tmp_path, capsys, correlation
+    ):
+        write_shuffled_csvs(tmp_path / "data")
+        letters = str.maketrans("0123456789", "ABCDEFGHIJ")  # batch 0007 becomes BAAAH
+        for path in (tmp_path / "data").glob("*.csv"):
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
+            split = (row.partition(",") for row in rows)
+            rows = ["B" + key.translate(letters) + sep + rest for key, sep, rest in split]
+            path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        doc = csv_config()  # batch_order reads batch_id
+        doc["screens"] = {"correlation": {"enabled": correlation}}
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"data error: batch id 'B[A-J]{4}' has no decimal digit to order by\n", err)
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_input_without_a_batch_table_exits_one(self, tmp_path, capsys):
+        write_shuffled_csvs(tmp_path / "data")
+        doc = csv_config()
+        del doc["input"]["csv"][0]
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: pipeline analyzes at the batch level; input has no batch table\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_reject_rate_lift_without_a_wafer_table_exits_one(self, tmp_path, capsys):
+        write_shuffled_csvs(tmp_path / "data")
+        doc = csv_config()  # its reject_rate lift reads the site and wafer tables
+        del doc["input"]["csv"][1:]
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: Method B needs a WAFER table\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_csv_file_exits_two(self, tmp_path, capsys):
+        write_shuffled_csvs(tmp_path / "data")
+        doc = csv_config()
+        (tmp_path / "data" / "wafer.csv").unlink()
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "wafer.csv" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestGenerateCommand:
+    def test_writes_the_tables_and_echoes_the_scenario(self, tmp_path, capsys):
+        doc = {"seed": 1, "n_batches": 12, "wafers_per_batch": 3, "sites_per_wafer": 2}
+        (tmp_path / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "data"
+        assert main(["generate", "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / 'batch.csv'} (12 rows)",
+            f"wrote {out / 'wafer.csv'} (36 rows)",
+            f"wrote {out / 'site.csv'} (72 rows)",
+            f"wrote {out / 'scenario.json'}",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "batch.csv", "scenario.json", "site.csv", "wafer.csv"
+        ]
+        echoed = json.loads((out / "scenario.json").read_text(encoding="utf-8"))
+        assert scenario_from_dict(echoed) == scenario_from_dict(doc)
+
 
 def overflowing_range_config(directory: Path) -> dict:
     """A CSV input whose target values span more than the largest float."""
@@ -743,6 +855,22 @@ class TestRejectRateComputedOnce:
         doc["targets"] = [{"name": "x_any", "problem": rule, "strategy": "median", "direction": "above"}]
         run_config(doc, tmp_path)
         assert [c.min_count for c in calls] == [2, 1]
+
+
+class TestRunResult:
+    def test_input_rows_are_freed_before_the_run_returns(self, tmp_path, monkeypatch):
+        site_tables = []
+        original = synthfab.generate
+
+        def generate(scenario):
+            dataset = original(scenario)
+            site_tables.append(weakref.ref(dataset.tables[SITE]))
+            return dataset
+
+        monkeypatch.setattr(synthfab, "generate", generate)
+        result = run_config(base_config(tmp_path / "out", n_batches=30))
+        assert result.targets["prob"].tree is not None
+        assert len(site_tables) == 1 and site_tables[0]() is None
 
 
 class TestCollectorPause:
