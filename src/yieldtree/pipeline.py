@@ -4,9 +4,8 @@
 The config is a single JSON document (see README for the annotated schema).
 Reruns with identical config and inputs produce byte-identical artifacts:
 the manifest carries no timestamps, JSON is written with sorted keys, and
-every stage is deterministic. An empty screened batch table and each target's
-values, histogram and threshold are checked before the output directory is
-made, so bad target data leaves no output. The input rows are freed before
+every stage is deterministic. Every stage runs before the first artifact is
+written; a run that fails writes nothing. The input rows are freed before
 run_pipeline returns; the result keeps the batch-level tables.
 """
 
@@ -451,9 +450,9 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
         raise UsageError(
             f"features.exclude names no analysis or input column: {', '.join(map(repr, unknown))}"
         )
-    # --- every target's source values, histogram and threshold, before any
-    # artifact is written, in analysis-row (= batch-table) order; a lifted
-    # problem rule's column is reused. A report previews no valley threshold.
+    # --- every target's source values, histogram and threshold, in
+    # analysis-row (= batch-table) order; a lifted problem rule's column is
+    # reused. A report previews no valley threshold.
     lifted_rules = {d for d in config.lifts if isinstance(d, lift.RejectionRule)}
     target_values = []
     for t in config.targets:
@@ -486,16 +485,9 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
     # --- correlation screen
     correlation = None
     correlation_meta = None
-    output_dir = config.output_dir
-    output_dir.mkdir(parents=True, exist_ok=True)
-    numeric_candidates = [
-        c for c in feature_table.columns if c.kind is ColumnKind.NUMERIC
-    ]
+    numeric_candidates = [c for c in feature_table.columns if c.kind is ColumnKind.NUMERIC]
     if config.screens.correlation.enabled and len(numeric_candidates) >= 2:
-        correlation = feats.correlation_table(
-            feature_table, config.screens.correlation.threshold
-        )
-        feats.write_correlation_csv(correlation, output_dir / "correlation.csv")
+        correlation = feats.correlation_table(feature_table, config.screens.correlation.threshold)
         feature_table = feats.flag_correlated(correlation, feature_table)
         correlation_meta = {
             "columns": len(correlation.columns),
@@ -504,19 +496,23 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
             "artifact": "correlation.csv",
         }
 
-    # --- targets
+    # --- each target's labels, tree, evaluation and rules
+    fits = [
+        _fit_target(directive, values, threshold, feature_table, sequential, config.train, report_only)
+        for directive, (values, _, threshold) in zip(config.targets, target_values)
+    ]
+
+    # --- artifacts: every stage has run, so a run that fails writes nothing
+    output_dir = config.output_dir
+    output_dir.mkdir(parents=True, exist_ok=True)
+    if correlation is not None:
+        feats.write_correlation_csv(correlation, output_dir / "correlation.csv")
     time_column = _time_column(config.encodings, analysis)
     times = None if time_column is None else analysis.values(time_column)
-    target_results: dict[str, TargetResult] = {}
-    target_meta = []
-    for directive, (values, histogram_report, threshold) in zip(config.targets, target_values):
-        result, entry = _run_target(
-            directive, values, histogram_report, threshold, times, feature_table, sequential,
-            config.train, output_dir, report_only,
-        )
-        target_results[directive.name] = result
-        target_meta.append(entry)
-
+    target_meta = [
+        _write_target(directive, values, histogram_report, times, fit, output_dir)
+        for directive, (values, histogram_report, _), fit in zip(config.targets, target_values, fits)
+    ]
     manifest = {
         "mode": "report" if report_only else "analyze",
         "version": VERSION,
@@ -535,45 +531,24 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
         analysis=analysis,
         feature_table=feature_table,
         correlation=correlation,
-        targets=target_results,
+        targets={directive.name: result for directive, (result, _) in zip(config.targets, fits)},
         output_dir=output_dir,
     )
 
 
-def _run_target(
+def _fit_target(
     directive: TargetDirective,
     values: list[float],
-    histogram_report: targeting.HistogramReport,
     threshold: float | None,
-    times: list[datetime] | None,
     feature_table: Table,
     sequential: feats.TimeEncodingSpec | None,
     train_settings: TrainSettings,
-    output_dir: Path,
     report_only: bool,
-) -> tuple[TargetResult, dict]:
-    """The target's result and its manifest entry."""
-    artifacts: dict[str, str] = {}
-    spec = directive.spec
-    entry = {
-        "name": directive.name, "source": spec.source_column, "strategy": spec.strategy.value,
-        "direction": spec.direction.value, "threshold": threshold,
-        "grey_half_width": spec.grey_half_width, "grey_deleted": 0, "labeled": None,
-        "evaluation": None, "rules": 0, "artifacts": artifacts,
-    }
-    histogram_name = f"{directive.name}_histogram.csv"
-    targeting.write_histogram_csv(histogram_report, output_dir / histogram_name)
-    artifacts["histogram"] = histogram_name
-
-    if times is not None:
-        series = targeting.yield_series(times, values)
-        series_name = f"{directive.name}_over_time.csv"
-        targeting.write_series_csv(series, output_dir / series_name)
-        artifacts["series"] = series_name
-
+) -> tuple[TargetResult, dict | None]:
+    """The target's result and its holdout evaluation, if it has a holdout."""
     if report_only:
-        return TargetResult(threshold, 0, None, None, [], None), entry
-
+        return TargetResult(threshold, 0, None, None, [], None), None
+    spec = directive.spec
     labeled, grey_deleted = targeting.apply_grey_region(
         feature_table, values, threshold, spec.grey_half_width, spec.direction
     )
@@ -582,22 +557,42 @@ def _run_target(
     held_out = _holdout_mask(len(labeled), train_settings.test_fraction, seed)
     train_set = labeled.filter_rows([not h for h in held_out]) if any(held_out) else labeled
     tree = train(train_set, train_settings.config)
+    evaluation = None
     if any(held_out):
         report = evaluate(tree, labeled.filter_rows(held_out))
-        entry["evaluation"] = {**asdict(report), "precision": report.precision, "recall": report.recall}
+        evaluation = {**asdict(report), "precision": report.precision, "recall": report.recall}
 
     rules = extract_rules(tree)
     report_text = render_report(rules, sequential)
-    rules_name = f"{directive.name}_rules.txt"
-    (output_dir / rules_name).write_text(report_text, encoding="utf-8")
-    artifacts["rules"] = rules_name
-    tree_name = f"{directive.name}_tree.json"
-    write_json(tree.to_dict(), output_dir / tree_name)
-    artifacts["tree"] = tree_name
+    return TargetResult(threshold, grey_deleted, labeled, tree, rules, report_text), evaluation
 
-    entry.update(
-        grey_deleted=grey_deleted,
-        labeled={"rows": len(labeled), "positive": labeled.positives},
-        rules=len(rules),
-    )
-    return TargetResult(threshold, grey_deleted, labeled, tree, rules, report_text), entry
+
+def _write_target(
+    directive: TargetDirective,
+    values: list[float],
+    histogram_report: targeting.HistogramReport,
+    times: list[datetime] | None,
+    fit: tuple[TargetResult, dict | None],
+    output_dir: Path,
+) -> dict:
+    """Write the target's artifacts and return its manifest entry."""
+    result, evaluation = fit
+    name, spec = directive.name, directive.spec
+    artifacts = {"histogram": f"{name}_histogram.csv"}
+    targeting.write_histogram_csv(histogram_report, output_dir / artifacts["histogram"])
+    if times is not None:
+        artifacts["series"] = f"{name}_over_time.csv"
+        series = targeting.yield_series(times, values)
+        targeting.write_series_csv(series, output_dir / artifacts["series"])
+    if result.tree is not None:
+        artifacts.update(rules=f"{name}_rules.txt", tree=f"{name}_tree.json")
+        (output_dir / artifacts["rules"]).write_text(result.report_text, encoding="utf-8")
+        write_json(result.tree.to_dict(), output_dir / artifacts["tree"])
+    labeled = result.labeled
+    return {
+        "name": name, "source": spec.source_column, "strategy": spec.strategy.value,
+        "direction": spec.direction.value, "threshold": result.threshold,
+        "grey_half_width": spec.grey_half_width, "grey_deleted": result.grey_deleted,
+        "labeled": None if labeled is None else {"rows": len(labeled), "positive": labeled.positives},
+        "evaluation": evaluation, "rules": len(result.rules), "artifacts": artifacts,
+    }

@@ -18,7 +18,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DataError, EmptyDatasetError, NoValleyError, UsageError
+from .errors import AnalysisError, DataError, EmptyDatasetError, NoValleyError, UsageError
 from .ingest import format_timestamp, write_csv
 from .lift import Direction, median, midpoint
 from .model import MISSING, LabeledDataset, Table
@@ -86,7 +86,7 @@ def label_by_threshold(
 def threshold_median(values: Sequence[float]) -> float:
     """Median threshold, balancing examples and counter-examples."""
     if len(values) < 2:
-        raise UsageError("median threshold needs at least 2 values")
+        raise AnalysisError("median threshold needs at least 2 values")
     return median(sorted(values))
 
 
@@ -143,7 +143,7 @@ def threshold_valley(values: Sequence[float], bins: int) -> float:
     if bins < 3:
         raise UsageError("valley detection needs bins >= 3")
     if len(set(values)) < 2:
-        raise UsageError("valley detection needs at least 2 distinct values")
+        raise NoValleyError("valley detection needs at least 2 distinct values")
     report = histogram(values, bins)
     valleys = _interior_valleys(report.counts)
     if not valleys:

@@ -596,7 +596,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: target 't': ") and message in err
         assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()  # checked before any artifact is written
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "report"])
     @pytest.mark.parametrize("parameter", ["nope", "oven_temp"])
@@ -610,7 +610,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: no column '{parameter}' in SITE table")
         assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()  # checked before any artifact is written
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_missing_target_value_exits_two_naming_the_first_batch(self, tmp_path, capsys, command):
@@ -643,7 +643,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: histogram range [-1e+308, 1e+308]")
         assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()  # checked before any artifact is written
+        assert not (tmp_path / "out").exists()
 
     def test_bad_cli_arguments_exit_one(self, capsys):
         assert main(["analyze"]) == 1
@@ -661,20 +661,30 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["analyze", "report"])
-    @pytest.mark.parametrize("rows, target, message", [
-        pytest.param("b1,350,90\nb2,500,80\n", {}, "median threshold needs at least 2 values",
-                     id="one-batch-median"),
-        pytest.param("b1,350,90\nb2,360,90\nb3,370,90\n", {"strategy": "valley", "bins": 3},
-                     "valley detection needs at least 2 distinct values", id="constant-valley"),
+    @pytest.mark.parametrize("command, rows, target, message", [
+        pytest.param("analyze", "b1,350,90\nb2,500,80\n", {},
+                     "median threshold needs at least 2 values", id="one-batch-median-analyze"),
+        pytest.param("report", "b1,350,90\nb2,500,80\n", {},
+                     "median threshold needs at least 2 values", id="one-batch-median-report"),
+        pytest.param("analyze", "b1,350,90\nb2,360,90\nb3,370,90\n", {"strategy": "valley", "bins": 3},
+                     "valley detection needs at least 2 distinct values", id="constant-valley-analyze"),
     ])
     def test_threshold_that_cannot_be_resolved_leaves_no_output(
         self, tmp_path, capsys, command, rows, target, message
     ):
         path = self.write_config(tmp_path, batch_csv_config(tmp_path, rows, target))
-        assert main([command, "--config", path]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main([command, "--config", path]) == 3
+        assert capsys.readouterr().err == f"analysis error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_constant_valley_target_previews_a_null_threshold(self, tmp_path, capsys):
+        doc = batch_csv_config(tmp_path, "b1,350,90\nb2,360,90\nb3,370,90\n",
+                               {"strategy": "valley", "bins": 3})
+        path = self.write_config(tmp_path, doc)
+        assert main(["report", "--config", path]) == 0
+        assert "target low_yield: threshold preview=None" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["targets"][0]["threshold"] is None
 
     @pytest.mark.parametrize("correlation", [True, False])
     def test_batch_id_without_a_digit_exits_two_before_any_artifact(
@@ -724,6 +734,92 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "wafer.csv" in err
         assert not (tmp_path / "out").exists()
+
+
+def two_feature_csv_config(directory: Path, rows: str) -> dict:
+    """One batch CSV under batch_id,oven_temp,humidity,yield with the
+    missing-cell screen off, so gaps reach the correlation screen and training."""
+    (directory / "batch.csv").write_text("batch_id,oven_temp,humidity,yield\n" + rows, encoding="utf-8")
+    return {
+        "input": {"csv": [{
+            "path": "batch.csv", "level": "batch", "key_columns": ["batch_id"],
+            "columns": [{"name": n, "kind": "numeric"} for n in ("oven_temp", "humidity", "yield")],
+        }]},
+        "screens": {"drop_missing": False},
+        "targets": [{"name": "low_yield", "source_column": "yield", "strategy": "fixed",
+                     "threshold": 90.0}],
+        "outputs": {"dir": "out"},
+    }
+
+
+class TestNothingWrittenOnFailure:
+    """Every stage runs before the first artifact is written, so a run that
+    fails at any stage writes nothing."""
+
+    write_config = TestExitCodes.write_config
+
+    def test_grey_region_deleting_every_row_exits_three(self, tmp_path, capsys):
+        doc = base_config("out", n_batches=30)
+        doc["targets"] = [{"name": "low_yield", "source_column": "yield", "strategy": "fixed",
+                           "threshold": 90.0, "grey_half_width": 1000.0}]
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 3
+        assert capsys.readouterr().err == (
+            "analysis error: grey region (-910.0, 1090.0) deleted every row\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_feature_cell_at_training_exits_two(self, tmp_path, capsys):
+        rows = "b1,350,40,95\nb2,,45,85\nb3,360,50,80\nb4,355,41,92\n"
+        doc = two_feature_csv_config(tmp_path, rows)
+        doc["screens"]["correlation"] = {"enabled": False}
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: missing cell in column 'oven_temp'")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_correlation_screen_without_two_complete_rows_exits_one(self, tmp_path, capsys, command):
+        doc = two_feature_csv_config(tmp_path, "b1,350,,95\nb2,,45,85\nb3,360,,80\n")
+        path = self.write_config(tmp_path, doc)
+        assert main([command, "--config", path]) == 1
+        assert capsys.readouterr().err == "error: correlation table needs at least 2 complete rows\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_failing_rerun_leaves_the_earlier_artifacts_as_they_were(self, tmp_path, capsys):
+        doc = base_config("out", n_batches=30)
+        assert main(["analyze", "--config", self.write_config(tmp_path, doc)]) == 0
+        before = read_all_artifacts(tmp_path / "out")
+        doc["input"]["scenario"]["seed"] = 4  # new data: every report would differ
+        doc["targets"][0]["grey_half_width"] = 1000.0
+        assert main(["analyze", "--config", self.write_config(tmp_path, doc)]) == 3
+        assert "deleted every row" in capsys.readouterr().err
+        assert read_all_artifacts(tmp_path / "out") == before
+
+    def test_every_reject_rate_is_lifted_before_the_first_tree(self, tmp_path, monkeypatch):
+        """A reject rate's working set is freed before the first tree is grown,
+        so it never adds to the memory that grown trees hold."""
+        from yieldtree import lift, pipeline
+
+        calls = []
+        original_lift, original_train = lift.lift_reject_rate, pipeline.train
+
+        def counted_lift(dataset, rule):
+            calls.append("lift_reject_rate")
+            return original_lift(dataset, rule)
+
+        def counted_train(data, config):
+            calls.append("train")
+            return original_train(data, config)
+
+        monkeypatch.setattr(lift, "lift_reject_rate", counted_lift)
+        monkeypatch.setattr(pipeline, "train", counted_train)
+        doc = base_config(tmp_path / "out", n_batches=30)
+        doc["targets"].append({"name": "x_any", "problem": dict(X_RULE, min_count=1),
+                               "strategy": "median", "direction": "above"})
+        run_config(doc, tmp_path)
+        assert calls == ["lift_reject_rate"] * 2 + ["train"] * 2
 
 
 class TestGenerateCommand:

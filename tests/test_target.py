@@ -6,7 +6,7 @@ import pytest
 
 from conftest import BATCH, batch_key, build_hierarchy, numeric_table
 from oracles import histogram_oracle, valley_oracle
-from yieldtree.errors import DataError, EmptyDatasetError, NoValleyError, UsageError
+from yieldtree.errors import AnalysisError, DataError, EmptyDatasetError, NoValleyError, UsageError
 from yieldtree.lift import RejectionRule, lift_reject_rate
 from yieldtree.model import MISSING
 from yieldtree.target import (
@@ -70,7 +70,7 @@ class TestThresholdMedian:
             assert sum(1 for v in values if v < t) == n // 2
 
     def test_needs_two_values(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(AnalysisError, match="at least 2 values"):
             threshold_median([1.0])
 
     def test_middle_values_whose_sum_overflows(self):
@@ -138,7 +138,7 @@ class TestThresholdValley:
     def test_preconditions(self):
         with pytest.raises(UsageError):
             threshold_valley([1.0, 2.0], 2)
-        with pytest.raises(UsageError):
+        with pytest.raises(NoValleyError, match="at least 2 distinct values"):
             threshold_valley([1.0, 1.0], 5)
 
 
