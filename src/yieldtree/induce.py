@@ -64,8 +64,9 @@ class TrainConfig:
     min_gain: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.max_depth < 1:
-            raise UsageError("max_depth must be >= 1")
+        # train, to_dict and write_json recurse per level: 512 stays under the recursion limit
+        if not 1 <= self.max_depth <= 512:
+            raise UsageError(f"max_depth must be 1 to 512, got {self.max_depth}")
         if self.min_leaf < 0 or self.min_gain < 0:
             raise UsageError("min_leaf and min_gain must be >= 0")
 

@@ -20,7 +20,7 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import ParseError, SchemaError, UsageError
+from .errors import DataError, ParseError, SchemaError, UsageError
 from .model import (
     MISSING,
     Column,
@@ -87,8 +87,8 @@ def read_json(path: Path, what: str) -> Any:
     try:
         with path.open(encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError:
-        raise UsageError(f"{what} file {path} does not exist") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"{what} file {path} is not valid UTF-8 JSON: {exc}") from None
 
@@ -235,7 +235,11 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
     each at the first such row of the block.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as handle:
+    try:
+        handle = path.open(newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+    with handle:
         reader = csv.reader(handle)
         header = _next_records(reader, 1, path)
         if not header:
@@ -368,10 +372,18 @@ def table_schema(table: Table) -> TableSchema:
     return TableSchema(table.level, table.level.key_fields, table.columns, {""})
 
 
+def make_output_dir(directory: Path) -> None:
+    """mkdir -p; a path the OS refuses, such as one naming a file, is a UsageError."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {directory}: {exc.strerror}") from None
+
+
 def write_dataset(dataset: HierarchicalDataset, directory: str | Path) -> dict[GranularityLevel, Path]:
     """Write every level's table to <directory>/<level>.csv."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    make_output_dir(directory)
     written = {level: directory / LEVEL_FILENAMES[level] for level in dataset.levels}
     for level, path in written.items():
         write_table(dataset.tables[level], path)

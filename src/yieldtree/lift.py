@@ -2,8 +2,8 @@
 and downward broadcast of coarse values.
 
 Both lifts read the groups of `model.group_by_ancestor`, whose rows keep
-input order: `lift_stats` emits rows in ascending key order and
-`lift_reject_rate` in batch-table order.
+input order. Each lift has one row per row of its coarse table, in that
+table's order; without a coarse table, rows come in ascending key order.
 Per-value arithmetic runs in C builtins; the std is exact integer
 arithmetic rounded once, so its bytes do not depend on the CPython version.
 `mean`, `median` and `midpoint` are the package's one float mean, median and
@@ -142,11 +142,8 @@ def lift_stats(
     from_level: GranularityLevel,
     to_level: GranularityLevel,
 ) -> Table:
-    """Method A: five summary statistics of `parameter` per coarse entity.
-
-    Output has one row per to_level entity and columns
-    ``<parameter>_{mean,std,median,min,max}``.
-    """
+    """Method A: five summary statistics of `parameter` per coarse entity,
+    in columns ``<parameter>_{mean,std,median,min,max}``."""
     if from_level <= to_level:
         raise UsageError(
             f"from_level {from_level.name} must be finer than to_level {to_level.name}"
@@ -159,7 +156,7 @@ def lift_stats(
         Column(f"{parameter}_{suffix}", ColumnKind.NUMERIC) for suffix in STAT_SUFFIXES
     )
     rows = []
-    for key in sorted(keys):
+    for key in keys:
         values = values_by_key.get(key)
         if not values:
             raise DataError(
@@ -171,12 +168,10 @@ def lift_stats(
 
 def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table:
     """Method B: per batch, the percentage of measured wafers failing the
-    k-of-n rule. A wafer with no value of the parameter is not measured; a
-    batch with no measured wafer is a DataError.
-
-    The output has one row per batch-table row, in batch-table order, so its
-    values align with any table that keeps that order. The percentage is the
-    correctly rounded float of the exact ratio.
+    k-of-n rule, as the correctly rounded float of the exact ratio. Wafers
+    are found through the site keys: a wafer with no value of the parameter
+    is not measured, and a site with no wafer row is left to
+    `validate_hierarchy`. A batch with no measured wafer is a DataError.
     """
     for level in (GranularityLevel.BATCH, GranularityLevel.WAFER, GranularityLevel.SITE):
         if level not in dataset.tables:
@@ -184,25 +179,18 @@ def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table
     values_by_wafer = _present_values(
         dataset.table(GranularityLevel.SITE), rule.parameter, GranularityLevel.WAFER
     )
-    wafers_by_batch = group_by_ancestor(
-        dataset.table(GranularityLevel.WAFER), GranularityLevel.BATCH
-    )
+    verdicts_by_batch: dict[str, list[bool]] = {}  # a wafer key's first id is its batch
+    for wafer_key, values in values_by_wafer.items():
+        if values:
+            verdicts_by_batch.setdefault(wafer_key[0], []).append(rule.wafer_rejected(values))
 
     column = Column(rule.reject_rate_column(), ColumnKind.NUMERIC, units="percent")
     rows = []
     for batch_key, _ in dataset.table(GranularityLevel.BATCH).rows:
-        wafer_rows = wafers_by_batch.get(batch_key)
-        if wafer_rows is None:
-            raise DataError(f"batch {batch_key} has zero wafers")
-        rejected = measured = 0
-        for wafer_row in wafer_rows:
-            values = values_by_wafer.get(wafer_row.key)
-            if values:
-                measured += 1
-                rejected += rule.wafer_rejected(values)
-        if not measured:
+        verdicts = verdicts_by_batch.get(batch_key[0])
+        if not verdicts:
             raise DataError(f"no {rule.parameter!r} measurements under batch {batch_key}")
-        rows.append(Row(batch_key, (100 * rejected / measured,)))
+        rows.append(Row(batch_key, (100 * sum(verdicts) / len(verdicts),)))
     return Table(GranularityLevel.BATCH, (column,), tuple(rows))
 
 

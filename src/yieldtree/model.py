@@ -350,31 +350,25 @@ class ValidationReport:
 
 
 def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
-    """Report every orphan child key and every duplicate key in the dataset."""
+    """Report every orphan child key and every duplicate key in the dataset.
+
+    One pass per table, coarse to fine, so every coarser key set is complete
+    by the time a finer table is walked.
+    """
     duplicates: list[Violation] = []
     orphans: list[Violation] = []
-    keys_by_level: dict[GranularityLevel, set[EntityKey]] = {}
-
+    coarser: list[tuple[GranularityLevel, int, set[EntityKey]]] = []
     for level in dataset.levels:
-        table = dataset.tables[level]
         seen: set[EntityKey] = set()
-        for row in table.rows:
-            if row.key in seen:
-                duplicates.append(
-                    Violation("duplicate", level, row.key, f"key {row.key} occurs more than once")
-                )
-            seen.add(row.key)
-        keys_by_level[level] = seen
-
-    for level in dataset.levels:
-        coarser = [(l, l + 1, keys_by_level[l]) for l in dataset.levels if l < level]
-        for row in dataset.tables[level].rows:
+        for key, _ in dataset.tables[level].rows:
+            if key in seen:
+                duplicates.append(Violation("duplicate", level, key, f"key {key} occurs more than once"))
+            seen.add(key)
             for parent_level, depth, parents in coarser:
-                if row.key[:depth] not in parents:
-                    ancestor = row.key.ancestor(parent_level)
-                    detail = f"row {row.key} has no {parent_level.name} ancestor {ancestor}"
-                    orphans.append(Violation("orphan", level, row.key, detail))
-
+                if key[:depth] not in parents:
+                    detail = f"row {key} has no {parent_level.name} ancestor {key.ancestor(parent_level)}"
+                    orphans.append(Violation("orphan", level, key, detail))
+        coarser.append((level, level + 1, seen))
     return ValidationReport(tuple(orphans), tuple(duplicates))
 
 

@@ -504,7 +504,7 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
 
     # --- artifacts: every stage has run, so a run that fails writes nothing
     output_dir = config.output_dir
-    output_dir.mkdir(parents=True, exist_ok=True)
+    ingest.make_output_dir(output_dir)
     if correlation is not None:
         feats.write_correlation_csv(correlation, output_dir / "correlation.csv")
     time_column = _time_column(config.encodings, analysis)

@@ -7,6 +7,7 @@ from conftest import BATCH, batch_key
 from oracles import gini_oracle, split_candidates_oracle
 from yieldtree.errors import DataError, UsageError
 from yieldtree.features import TimeEncodingSpec, TimeMode
+from yieldtree.ingest import write_json
 from yieldtree.induce import (
     Condition,
     Rule,
@@ -93,6 +94,21 @@ class TestTrain:
         assert tree.root.depth == 0
         if not tree.root.is_leaf:
             assert tree.root.true_child.is_leaf and tree.root.false_child.is_leaf
+
+    def test_deepest_allowed_tree_trains_and_writes(self, tmp_path):
+        """Alternating labels on distinct values split to the deepest allowed
+        level; training, to_dict and write_json all recurse per level and
+        must stay within the default recursion limit there."""
+        data = numeric_dataset([float(i) for i in range(1200)], [i % 2 for i in range(1200)])
+        tree = train(data, TrainConfig(max_depth=512, min_leaf=1, min_gain=0.0))
+        assert max(leaf.depth for leaf in tree.leaves()) == 512
+        write_json(tree.to_dict(), tmp_path / "tree.json")
+        assert json.loads((tmp_path / "tree.json").read_text(encoding="utf-8")) == tree.to_dict()
+
+    @pytest.mark.parametrize("depth", [0, 513])
+    def test_max_depth_out_of_range_rejected(self, depth):
+        with pytest.raises(UsageError, match=f"max_depth must be 1 to 512, got {depth}"):
+            TrainConfig(max_depth=depth)
 
     def test_min_leaf_respected(self):
         data = numeric_dataset([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 0, 0, 0])

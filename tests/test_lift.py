@@ -25,6 +25,7 @@ from yieldtree.model import (
     Column,
     ColumnKind,
     EntityKey,
+    HierarchicalDataset,
     Row,
     Table,
     group_by_ancestor,
@@ -67,6 +68,25 @@ class TestLiftStats:
         )
         with pytest.raises(DataError, match="b9"):
             lift_stats(dataset.with_table(extra_batch), "x", SITE, BATCH)
+
+    def test_rows_follow_the_batch_table_order(self):
+        """One output row per batch-table row, in batch-table order, as
+        lift_reject_rate gives them; nothing re-sorts the keys."""
+        dataset = build_hierarchy({"b1": {"w1": [1.0]}, "b2": {"w1": [2.0]}, "b3": {"w1": [3.0]}})
+        batch = dataset.table(BATCH)
+        order = (batch.rows[1], batch.rows[2], batch.rows[0])
+        dataset = dataset.with_table(Table(BATCH, batch.columns, order))
+        stats = lift_stats(dataset, "x", SITE, BATCH)
+        rates = lift_reject_rate(dataset, RejectionRule("x", 10.0, 1))
+        assert [r.key for r in stats.rows] == [r.key for r in order] == [r.key for r in rates.rows]
+        assert stats.values("x_mean") == [2.0, 3.0, 1.0]
+
+    def test_without_a_batch_table_rows_come_in_ascending_key_order(self):
+        site = build_hierarchy({"b2": {"w1": [2.0]}, "b1": {"w1": [1.0]}}).table(SITE)
+        reversed_site = Table(SITE, site.columns, site.rows[::-1])
+        stats = lift_stats(HierarchicalDataset({SITE: reversed_site}), "x", SITE, BATCH)
+        assert [r.key for r in stats.rows] == [batch_key("b1"), batch_key("b2")]
+        assert stats.values("x_mean") == [1.0, 2.0]
 
     def test_non_numeric_parameter_rejected(self):
         dataset = one_batch_dataset([1.0])
@@ -230,7 +250,7 @@ class TestLiftRejectRate:
     def test_batch_with_zero_wafers_is_error(self):
         dataset = build_hierarchy({"b1": {"w1": [1.0]}})
         extra = Table(BATCH, (), dataset.table(BATCH).rows + (Row(batch_key("b9"), ()),))
-        with pytest.raises(DataError, match="b9"):
+        with pytest.raises(DataError, match="^no 'x' measurements under batch b9$"):
             lift_reject_rate(dataset.with_table(extra), RejectionRule("x", 10.0))
 
     def test_min_count_validated(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SITE, build_hierarchy
+from conftest import BATCH, SITE, WAFER, build_hierarchy
 from test_golden import X_RULE, csv_config, scenario_config, write_shuffled_csvs
 from yieldtree import synthfab
 from yieldtree.cli import main
@@ -735,6 +735,65 @@ class TestExitCodes:
         assert err.startswith("data error: ") and "wafer.csv" in err
         assert not (tmp_path / "out").exists()
 
+    def test_csv_input_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        write_shuffled_csvs(tmp_path / "data")
+        (tmp_path / "data" / "wafer.csv").unlink()
+        (tmp_path / "data" / "wafer.csv").mkdir()
+        path = self.write_config(tmp_path, csv_config())
+        assert main(["analyze", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {tmp_path / 'data' / 'wafer.csv'}: Is a directory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_output_dir_on_a_file_exits_one_and_writes_nothing(self, tmp_path, capsys, command, out):
+        (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+        path = self.write_config(tmp_path, base_config(out, n_batches=30))
+        assert main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot make output directory {tmp_path / out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
+
+    def test_generate_out_on_a_file_exits_one(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"seed": 1, "n_batches": 4}), encoding="utf-8")
+        (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+        assert main(["generate", "--scenario", str(scenario), "--out", str(tmp_path / "taken")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot make output directory {tmp_path / 'taken'}: File exists\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "taken"]
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "report", "generate"])
+    def test_config_or_scenario_that_is_a_directory_exits_one(self, tmp_path, capsys, command):
+        (tmp_path / "input.json").mkdir()
+        what = "scenario" if command == "generate" else "config"
+        argv = [command, f"--{what}", str(tmp_path / "input.json")]
+        if command == "generate":
+            argv += ["--out", str(tmp_path / "data")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {what} file {tmp_path / 'input.json'}: Is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input.json"]
+
+    def test_missing_config_exits_one(self, tmp_path, capsys):
+        assert main(["analyze", "--config", str(tmp_path / "none.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read config file {tmp_path / 'none.json'}: No such file or directory\n"
+
+    @pytest.mark.parametrize("depth, code", [(512, 0), (513, 1)])
+    def test_max_depth_is_at_most_512(self, tmp_path, capsys, depth, code):
+        doc = base_config("out", n_batches=30)
+        doc["train"]["max_depth"] = depth
+        assert main(["analyze", "--config", self.write_config(tmp_path, doc)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: max_depth must be 1 to 512, got 513\n"
+        assert (tmp_path / "out").exists() == (code == 0)
+
 
 def two_feature_csv_config(directory: Path, rows: str) -> dict:
     """One batch CSV under batch_id,oven_temp,humidity,yield with the
@@ -951,6 +1010,29 @@ class TestRejectRateComputedOnce:
         doc["targets"] = [{"name": "x_any", "problem": rule, "strategy": "median", "direction": "above"}]
         run_config(doc, tmp_path)
         assert [c.min_count for c in calls] == [2, 1]
+
+
+class TestGroupingWalks:
+    def test_each_lift_groups_the_site_table_once(self, tmp_path, monkeypatch):
+        """A stats lift, a reject-rate lift and an unlifted problem target
+        group the site table once each: Method B finds the wafers of a batch
+        through the site keys, not by grouping the wafer table."""
+        from yieldtree import lift
+
+        calls = []
+        original = lift.group_by_ancestor
+
+        def counted(table, level):
+            calls.append((table.level, level))
+            return original(table, level)
+
+        monkeypatch.setattr(lift, "group_by_ancestor", counted)
+        doc = base_config(tmp_path / "out", n_batches=30)
+        doc["lifts"].append({"method": "stats", "parameter": "x"})
+        doc["targets"].append({"name": "x_any", "problem": dict(X_RULE, min_count=1),
+                               "strategy": "median", "direction": "above"})
+        run_config(doc, tmp_path)
+        assert calls == [(SITE, WAFER), (SITE, BATCH), (SITE, WAFER)]
 
 
 class TestRunResult:
