@@ -1,5 +1,7 @@
 """CSV ingestion, case-dropping screens, and CSV export: `write_csv` is the
-one CSV writer of the package, for tables and for every CSV artifact.
+one CSV writer of the package, for tables and for every CSV artifact. Every
+file written, CSV, JSON or text, goes through `_writing`, so a path the OS
+refuses is a UsageError.
 
 File format: UTF-8, comma-separated, RFC 4180 quoting, first row header.
 Timestamp cells are exactly ``YYYY-MM-DD HH:MM`` in local plant time; no
@@ -13,12 +15,13 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DataError, ParseError, SchemaError, UsageError
 from .model import (
@@ -93,8 +96,23 @@ def read_json(path: Path, what: str) -> Any:
         raise UsageError(f"{what} file {path} is not valid UTF-8 JSON: {exc}") from None
 
 
+@contextmanager
+def _writing(path: str | Path) -> Iterator[TextIO]:
+    """`path` opened for UTF-8 text; an OSError while opening or writing it is a UsageError."""
+    try:
+        with Path(path).open("w", newline="", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def write_text(text: str, path: Path) -> None:
+    with _writing(path) as handle:
+        handle.write(text)
+
+
 def write_json(doc: Any, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
 def read_fields(doc: Any, context: str, **readers: Callable[[Any], Any]) -> dict[str, Any]:
@@ -346,7 +364,7 @@ def _format_cell(value: Any, column: Column) -> str:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     """Write a header row, then the rows, as UTF-8 CSV with line-feed line ends."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with _writing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

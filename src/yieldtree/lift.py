@@ -4,6 +4,8 @@ and downward broadcast of coarse values.
 Both lifts read the groups of `model.group_by_ancestor`, whose rows keep
 input order. Each lift has one row per row of its coarse table, in that
 table's order; without a coarse table, rows come in ascending key order.
+Method B finds each batch's wafers inside that batch's site group and holds
+one batch's wafers at a time.
 Per-value arithmetic runs in C builtins; the std is exact integer
 arithmetic rounded once, so its bytes do not depend on the CPython version.
 `mean`, `median` and `midpoint` are the package's one float mean, median and
@@ -24,7 +26,6 @@ from .model import (
     MISSING,
     Column,
     ColumnKind,
-    EntityKey,
     GranularityLevel,
     HierarchicalDataset,
     Row,
@@ -123,17 +124,11 @@ def _group_stats(values: list[float]) -> tuple[float, float, float, float, float
     return mean(values), std, median(ordered), ordered[0], max(values)
 
 
-def _present_values(
-    table: Table, parameter: str, ancestor_level: GranularityLevel
-) -> dict[EntityKey, list[float]]:
-    """The present values of numeric column `parameter` under each ancestor."""
+def _numeric_index(table: Table, parameter: str) -> int:
+    """Index of column `parameter`, which must be numeric."""
     if table.column(parameter).kind is not ColumnKind.NUMERIC:
         raise UsageError(f"parameter {parameter!r} is not numeric")
-    i = table.column_index(parameter)
-    return {
-        key: [row.cells[i] for row in rows if row.cells[i] is not MISSING]
-        for key, rows in group_by_ancestor(table, ancestor_level).items()
-    }
+    return table.column_index(parameter)
 
 
 def lift_stats(
@@ -148,7 +143,12 @@ def lift_stats(
         raise UsageError(
             f"from_level {from_level.name} must be finer than to_level {to_level.name}"
         )
-    values_by_key = _present_values(dataset.table(from_level), parameter, to_level)
+    from_table = dataset.table(from_level)
+    i = _numeric_index(from_table, parameter)
+    values_by_key = {
+        key: [row.cells[i] for row in rows if row.cells[i] is not MISSING]
+        for key, rows in group_by_ancestor(from_table, to_level).items()
+    }
     to_table = dataset.tables.get(to_level)
     keys = values_by_key if to_table is None else [row.key for row in to_table.rows]
 
@@ -168,29 +168,30 @@ def lift_stats(
 
 def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table:
     """Method B: per batch, the percentage of measured wafers failing the
-    k-of-n rule, as the correctly rounded float of the exact ratio. Wafers
-    are found through the site keys: a wafer with no value of the parameter
-    is not measured, and a site with no wafer row is left to
-    `validate_hierarchy`. A batch with no measured wafer is a DataError.
+    k-of-n rule, as the correctly rounded float of the exact ratio. A batch's
+    wafers are found by their ids inside that batch's site group, one batch
+    at a time: a wafer with no value of the parameter is not measured, and a
+    site with no wafer row is left to `validate_hierarchy`. A batch with no
+    measured wafer is a DataError.
     """
     for level in (GranularityLevel.BATCH, GranularityLevel.WAFER, GranularityLevel.SITE):
         if level not in dataset.tables:
             raise UsageError(f"Method B needs a {level.name} table")
-    values_by_wafer = _present_values(
-        dataset.table(GranularityLevel.SITE), rule.parameter, GranularityLevel.WAFER
-    )
-    verdicts_by_batch: dict[str, list[bool]] = {}  # a wafer key's first id is its batch
-    for wafer_key, values in values_by_wafer.items():
-        if values:
-            verdicts_by_batch.setdefault(wafer_key[0], []).append(rule.wafer_rejected(values))
+    site = dataset.table(GranularityLevel.SITE)
+    i = _numeric_index(site, rule.parameter)
+    sites_by_batch = group_by_ancestor(site, GranularityLevel.BATCH)
 
     column = Column(rule.reject_rate_column(), ColumnKind.NUMERIC, units="percent")
     rows = []
     for batch_key, _ in dataset.table(GranularityLevel.BATCH).rows:
-        verdicts = verdicts_by_batch.get(batch_key[0])
-        if not verdicts:
+        values_by_wafer: dict[str, list[float]] = {}
+        for key, cells in sites_by_batch.get(batch_key, ()):
+            if cells[i] is not MISSING:
+                values_by_wafer.setdefault(key[1], []).append(cells[i])
+        if not values_by_wafer:
             raise DataError(f"no {rule.parameter!r} measurements under batch {batch_key}")
-        rows.append(Row(batch_key, (100 * sum(verdicts) / len(verdicts),)))
+        rejected = sum(map(rule.wafer_rejected, values_by_wafer.values()))
+        rows.append(Row(batch_key, (100 * rejected / len(values_by_wafer),)))
     return Table(GranularityLevel.BATCH, (column,), tuple(rows))
 
 

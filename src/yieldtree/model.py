@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
+from itertools import islice
+from operator import itemgetter, lt
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
@@ -157,6 +159,7 @@ class EntityKey(tuple):
 
 # A prefix of a checked key is a valid key of a coarser level: no re-check.
 _prefix_key = partial(tuple.__new__, EntityKey)
+_key_of = itemgetter(0)  # a Row's key
 
 
 class Row(NamedTuple):
@@ -352,23 +355,33 @@ class ValidationReport:
 def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
     """Report every orphan child key and every duplicate key in the dataset.
 
-    One pass per table, coarse to fine, so every coarser key set is complete
-    by the time a finer table is walked.
+    Coarse to fine, so each coarser key set is complete when a finer table is
+    checked. C builtins prove a table clean, with no key set for a finest
+    table whose keys strictly ascend; only a table with defects is walked.
     """
     duplicates: list[Violation] = []
     orphans: list[Violation] = []
-    coarser: list[tuple[GranularityLevel, int, set[EntityKey]]] = []
+    coarser: list[tuple[GranularityLevel, int, set[EntityKey] | None]] = []
     for level in dataset.levels:
-        seen: set[EntityKey] = set()
-        for key, _ in dataset.tables[level].rows:
-            if key in seen:
-                duplicates.append(Violation("duplicate", level, key, f"key {key} occurs more than once"))
-            seen.add(key)
-            for parent_level, depth, parents in coarser:
-                if key[:depth] not in parents:
-                    detail = f"row {key} has no {parent_level.name} ancestor {key.ancestor(parent_level)}"
-                    orphans.append(Violation("orphan", level, key, detail))
-        coarser.append((level, level + 1, seen))
+        rows = dataset.tables[level].rows
+        ascending = level is dataset.levels[-1] and all(
+            map(lt, map(_key_of, rows), map(_key_of, islice(rows, 1, None)))
+        )
+        keys = None if ascending else set(map(_key_of, rows))
+        if not (ascending or len(keys) == len(rows)) or not all(
+            all(map(parents.__contains__, map(itemgetter(slice(depth)), map(_key_of, rows))))
+            for _, depth, parents in coarser
+        ):
+            keys = set()
+            for key, _ in rows:
+                if key in keys:
+                    duplicates.append(Violation("duplicate", level, key, f"key {key} occurs more than once"))
+                keys.add(key)
+                for parent_level, depth, parents in coarser:
+                    if key[:depth] not in parents:
+                        detail = f"row {key} has no {parent_level.name} ancestor {key.ancestor(parent_level)}"
+                        orphans.append(Violation("orphan", level, key, detail))
+        coarser.append((level, level + 1, keys))
     return ValidationReport(tuple(orphans), tuple(duplicates))
 
 

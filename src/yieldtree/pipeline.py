@@ -586,7 +586,7 @@ def _write_target(
         targeting.write_series_csv(series, output_dir / artifacts["series"])
     if result.tree is not None:
         artifacts.update(rules=f"{name}_rules.txt", tree=f"{name}_tree.json")
-        (output_dir / artifacts["rules"]).write_text(result.report_text, encoding="utf-8")
+        ingest.write_text(result.report_text, output_dir / artifacts["rules"])
         write_json(result.tree.to_dict(), output_dir / artifacts["tree"])
     labeled = result.labeled
     return {

@@ -247,6 +247,7 @@ BATCH_COLUMNS = (
     Column("yield", ColumnKind.NUMERIC, units="percent"),
 )
 WAFER_COLUMNS = (Column("rejected", ColumnKind.NUMERIC),)
+_REJECTED, _ACCEPTED = (1.0,), (0.0,)  # every wafer row shares one of these cell tuples
 
 
 def _site_columns(scenario: FabScenario) -> tuple[Column, ...]:
@@ -292,7 +293,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
             rejected = rng.random() < p
             if not rejected:
                 accepted += 1
-            wafer_rows.append(Row(wafer_key, (1.0 if rejected else 0.0,)))
+            wafer_rows.append(Row(wafer_key, _REJECTED if rejected else _ACCEPTED))
 
             # how many sites exceed the threshold: >= k iff rejected
             exceed_count = rng.randint(k, sites) if rejected else rng.randint(0, k - 1)

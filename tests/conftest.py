@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 from yieldtree.model import (
     Column,
@@ -13,6 +14,7 @@ from yieldtree.model import (
     Row,
     Table,
 )
+from yieldtree.synthfab import FabScenario, generate
 
 BATCH = GranularityLevel.BATCH
 WAFER = GranularityLevel.WAFER
@@ -72,3 +74,23 @@ def random_hierarchy(rng: random.Random, max_batches=5, max_wafers=6, max_sites=
             ]
         nest[f"b{b}"] = wafers
     return nest, build_hierarchy(nest)
+
+
+def traced_peak_share(step) -> float:
+    """Peak memory traced while step(dataset) runs, above the size it starts
+    from, as a share of the traced size of the dataset: the synthetic seed-3,
+    100-batch fab, whose keys ascend at every level."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dataset = generate(FabScenario(seed=3, n_batches=100))
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (peak - size) / (size - before)

@@ -3,13 +3,14 @@ import json
 import math
 import random
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
 from conftest import BATCH, batch_key, numeric_table
 from yieldtree import ingest
 from yieldtree.cli import main
-from yieldtree.errors import ParseError, SchemaError
+from yieldtree.errors import ParseError, SchemaError, UsageError
 from yieldtree.ingest import (
     DEFAULT_MISSING_TOKENS,
     TableSchema,
@@ -170,6 +171,31 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
         assert "Traceback" not in err
+
+
+class TestUnwritableOutput:
+    """A path the OS refuses, when it is opened or when it is written, is a
+    UsageError naming the path and the reason, whichever writer is used."""
+
+    WRITERS = {
+        "csv": lambda path: ingest.write_csv(path, ["a"], [["1"]]),
+        "json": lambda path: ingest.write_json({"a": 1}, path),
+        "text": lambda path: ingest.write_text("a\n", path),
+    }
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_directory_is_refused_on_open(self, tmp_path, writer):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(UsageError) as caught:
+            self.WRITERS[writer](tmp_path / "taken")
+        assert str(caught.value) == f"cannot write {tmp_path / 'taken'}: Is a directory"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_full_device_is_refused_on_write(self, writer):
+        with pytest.raises(UsageError) as caught:
+            self.WRITERS[writer](Path("/dev/full"))
+        assert str(caught.value) == "cannot write /dev/full: No space left on device"
 
 
 def table_with_missing():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BATCH, SITE, WAFER, batch_key, build_hierarchy, random_hierarchy
+from conftest import BATCH, SITE, WAFER, batch_key, build_hierarchy, random_hierarchy, traced_peak_share
 from oracles import reject_rate_oracle, stats_oracle, wafer_rejected_oracle
 from yieldtree.errors import DataError, UsageError
 from yieldtree.lift import (
@@ -292,25 +292,49 @@ class TestLiftRejectRate:
 
 class TestOracleEquivalence:
     def test_both_lifts_match_brute_force_on_random_hierarchies(self):
+        """Site rows come shuffled with about one cell in six missing. A
+        missing cell is no measurement, so the oracles see the present values
+        only, a wafer with none is left out of its batch's rate, and a batch
+        with none is a DataError for both lifts."""
         rng = random.Random(4)
         for _ in range(100):
-            nest, dataset = random_hierarchy(rng)
+            nest, _ = random_hierarchy(rng)
+            for sites in (sites for wafers in nest.values() for sites in wafers.values()):
+                sites[:] = [MISSING if rng.random() < 1 / 6 else v for v in sites]
+            dataset = build_hierarchy(nest)
+            site = dataset.table(SITE)
+            dataset = dataset.with_table(Table(SITE, site.columns, tuple(rng.sample(site.rows, len(site.rows)))))
+            present = {
+                b: [[v for v in sites if v is not MISSING] for sites in wafers.values()]
+                for b, wafers in nest.items()
+            }
+            threshold = rng.uniform(2.0, 18.0)
+            k = rng.randint(1, 3)
+            rule = RejectionRule("x", threshold, k)
+            if not all(map(any, present.values())):
+                with pytest.raises(DataError):
+                    lift_stats(dataset, "x", SITE, BATCH)
+                with pytest.raises(DataError):
+                    lift_reject_rate(dataset, rule)
+                continue
+
             stats = lift_stats(dataset, "x", SITE, BATCH)
             for row in stats.rows:
-                batch_values = [
-                    v for wafers in [nest[row.key.batch_id]] for sites in wafers.values() for v in sites
-                ]
-                expected = stats_oracle(batch_values)
+                expected = stats_oracle([v for sites in present[row.key.batch_id] for v in sites])
                 for got, want in zip(row.cells, expected):
                     assert got == pytest.approx(want, rel=1e-9)
 
-            threshold = rng.uniform(2.0, 18.0)
-            k = rng.randint(1, 3)
-            rates = lift_reject_rate(dataset, RejectionRule("x", threshold, k))
+            rates = lift_reject_rate(dataset, rule)
             for row in rates.rows:
-                wafers = list(nest[row.key.batch_id].values())
+                wafers = [sites for sites in present[row.key.batch_id] if sites]
                 assert row.cells[0] == float(reject_rate_oracle(wafers, threshold, k))
 
+
+def test_reject_rate_lift_holds_one_batch_of_wafers_at_a_time():
+    """Method B groups no table by wafer: its peak above the dataset stays
+    well below the wafer groups of the whole site table (about 30%)."""
+    rule = RejectionRule("x", 10.0, 2)
+    assert traced_peak_share(lambda dataset: lift_reject_rate(dataset, rule)) < 0.15
 
 class TestBroadcastDown:
     def _dataset(self, temp=350.0):

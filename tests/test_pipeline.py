@@ -767,6 +767,19 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "taken"]
         assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
 
+    @pytest.mark.parametrize("taken", ["correlation.csv", "prob_rules.txt", "manifest.json"])
+    def test_artifact_path_the_os_refuses_exits_one(self, tmp_path, capsys, taken):
+        """The files written before the refused one remain; none after it is written."""
+        order = ["correlation.csv", "prob_histogram.csv", "prob_over_time.csv",
+                 "prob_rules.txt", "prob_tree.json", "manifest.json"]
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        path = self.write_config(tmp_path, base_config(out, n_batches=30))
+        assert main(["analyze", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / taken}: Is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(order[: order.index(taken) + 1])
+
     @pytest.mark.parametrize("command", ["analyze", "report", "generate"])
     def test_config_or_scenario_that_is_a_directory_exits_one(self, tmp_path, capsys, command):
         (tmp_path / "input.json").mkdir()
@@ -1015,8 +1028,9 @@ class TestRejectRateComputedOnce:
 class TestGroupingWalks:
     def test_each_lift_groups_the_site_table_once(self, tmp_path, monkeypatch):
         """A stats lift, a reject-rate lift and an unlifted problem target
-        group the site table once each: Method B finds the wafers of a batch
-        through the site keys, not by grouping the wafer table."""
+        group the site table once each, by batch: Method B finds a batch's
+        wafers by their ids inside the batch's site group, and groups neither
+        the wafer table nor the site table by wafer."""
         from yieldtree import lift
 
         calls = []
@@ -1032,7 +1046,7 @@ class TestGroupingWalks:
         doc["targets"].append({"name": "x_any", "problem": dict(X_RULE, min_count=1),
                                "strategy": "median", "direction": "above"})
         run_config(doc, tmp_path)
-        assert calls == [(SITE, WAFER), (SITE, BATCH), (SITE, WAFER)]
+        assert calls == [(SITE, BATCH)] * 3
 
 
 class TestRunResult:
