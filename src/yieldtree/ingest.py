@@ -17,11 +17,12 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date, datetime
 from enum import Enum
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import DataError, ParseError, SchemaError, UsageError
 from .model import (
@@ -150,21 +151,6 @@ def read_tagged(doc: Any, context: str, tag: str, reader: Callable[[Any], T]) ->
     return fields[tag], rest
 
 
-def instance(cls: type[T], context: str, **readers: Callable[[Any], Any]) -> Callable[[Any], T]:
-    """Reader of a JSON object as the dataclass cls; a field of cls without
-    a default is required."""
-
-    def read(doc: Any) -> T:
-        fields = read_fields(doc, context, **readers)
-        for field in dataclasses.fields(cls):
-            no_default = field.default is field.default_factory is dataclasses.MISSING
-            if no_default and field.name not in fields:
-                raise UsageError(f"{context} needs field {field.name!r}")
-        return cls(**fields)
-
-    return read
-
-
 def _exactly(kind: type, expected: str) -> Callable[[Any], Any]:
     """Reader of a value of exactly this type: true is not an integer."""
 
@@ -208,6 +194,52 @@ def choice(options: Mapping[str, T] | type[Enum]) -> Callable[[Any], T]:
         return options[key]
 
     return read
+
+
+_SCALARS = {
+    int: integer, float: number, bool: flag, str: text,
+    datetime: parse_timestamp, date: date.fromisoformat,
+}
+
+
+def instance(cls: type[T], context: str, **readers: Callable[[Any], Any]) -> Callable[[Any], T]:
+    """Reader of a JSON object as the dataclass cls; a field of cls without
+    a default is required. Each field is read by the type its annotation
+    declares (`_reader`), unless `readers` gives it a reader of its own."""
+    fields = dataclasses.fields(cls)
+    hints = get_type_hints(cls)
+    readers = {
+        field.name: _reader(hints[field.name], f"{context}.{field.name}")
+        for field in fields
+        if field.name not in readers
+    } | readers
+    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+
+    def read(doc: Any) -> T:
+        values = read_fields(doc, context, **readers)
+        for name in required:
+            if name not in values:
+                raise UsageError(f"{context} needs field {name!r}")
+        return cls(**values)
+
+    return read
+
+
+def _reader(hint: Any, context: str) -> Callable[[Any], Any]:
+    """Reader of a JSON value as the declared type hint: X | None as X, a
+    tuple or frozenset as an array, an enum by `choice`, a dataclass as an
+    object named context, and the scalars by `_SCALARS`."""
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args:
+        (hint,) = (arg for arg in args if arg is not type(None))
+        return _reader(hint, context)
+    if origin in (tuple, frozenset):
+        return array(_reader(args[0], context))
+    if issubclass(hint, Enum):
+        return choice(hint)
+    if dataclasses.is_dataclass(hint):
+        return instance(hint, context)
+    return _SCALARS[hint]
 
 
 # Records parsed together, a column at a time. The freed text of a block stays

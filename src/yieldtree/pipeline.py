@@ -35,11 +35,9 @@ from .ingest import (
     TableSchema,
     array,
     choice,
-    flag,
     instance,
     integer,
     number,
-    parse_timestamp,
     read_fields,
     read_json,
     read_tagged,
@@ -48,7 +46,6 @@ from .ingest import (
 )
 from .model import (
     MISSING,
-    Column,
     ColumnKind,
     GranularityLevel,
     HierarchicalDataset,
@@ -80,6 +77,10 @@ class StatsLift:
     parameter: str
     from_level: GranularityLevel = GranularityLevel.SITE
     to_level: GranularityLevel = GranularityLevel.BATCH
+
+    def __post_init__(self) -> None:
+        if self.to_level is not GranularityLevel.BATCH:
+            raise UsageError("stats lift to_level must be batch: lifts join the batch-level table")
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,9 @@ def _take(fields: dict, *names: str) -> dict:
     return {name: fields.pop(name) for name in names if name in fields}
 
 
-_RULE = dict(parameter=text, threshold=number, min_count=integer, comparator=choice(lift.Direction))
-_LEVEL = choice(GranularityLevel)
-_BATCH = choice({"batch": GranularityLevel.BATCH})  # lifts join the batch-level table
 _LIFTS = {
-    "stats": instance(StatsLift, "stats lift", parameter=text, from_level=_LEVEL, to_level=_BATCH),
-    "reject_rate": instance(lift.RejectionRule, "reject_rate lift", **_RULE),
+    "stats": instance(StatsLift, "stats lift"),
+    "reject_rate": instance(lift.RejectionRule, "reject_rate lift"),
 }
 
 
@@ -176,13 +174,7 @@ def _read_lift(doc: Any) -> StatsLift | lift.RejectionRule:
     return read(fields)
 
 
-_COLUMN = instance(
-    Column, "column", name=text, kind=choice(ColumnKind), units=text, sensor_limits=array(number)
-)
-_TABLE_SCHEMA = instance(
-    TableSchema, "csv input", level=_LEVEL, key_columns=array(text), columns=array(_COLUMN),
-    missing_tokens=array(text),
-)
+_TABLE_SCHEMA = instance(TableSchema, "csv input")
 
 
 def _read_csv_input(base_dir: Path, doc: Any) -> tuple[Path, TableSchema]:
@@ -190,24 +182,9 @@ def _read_csv_input(base_dir: Path, doc: Any) -> tuple[Path, TableSchema]:
     return base_dir / path, _TABLE_SCHEMA(fields)
 
 
-_CORRELATION = instance(CorrelationScreen, "screens.correlation", enabled=flag, threshold=number)
-_SCREENS = instance(
-    ScreenSettings, "screens", drop_missing=flag, sensor_limits=flag, correlation=_CORRELATION
-)
-_CYCLICAL = instance(
-    CyclicalEncoding, "encodings.cyclical", time_column=text, holidays=array(date.fromisoformat)
-)
-_SEQUENTIAL = instance(
-    SequentialEncoding, "encodings.sequential", time_column=text, epoch=parse_timestamp
-)
-_BATCH_ORDER = instance(BatchOrderEncoding, "encodings.batch_order", id_column=text)
-_ENCODINGS = instance(
-    EncodingSettings, "encodings",
-    cyclical=_CYCLICAL, sequential=_SEQUENTIAL, batch_order=_BATCH_ORDER,
-)
-
-
-_PROBLEM = instance(lift.RejectionRule, "target problem", **_RULE)
+_SCREENS = instance(ScreenSettings, "screens")
+_ENCODINGS = instance(EncodingSettings, "encodings")
+_PROBLEM = instance(lift.RejectionRule, "target problem")
 
 
 def _read_target(doc: Any) -> TargetDirective:

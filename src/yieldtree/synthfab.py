@@ -6,9 +6,10 @@ rejection-rate lift provably can recover the signal. Every batch draws from
 its own substream seeded by (seed, batch index); generation is therefore
 independent of scheduling and reproducible bit-for-bit.
 
-Each effect class is the one definition of its effect: JSON type name and
-field readers, checks, when it is active, and the rule evidence it should
-leave. A new effect type is one such class plus one entry in PlantedEffect.
+Each effect class is the one definition of its effect: JSON type name,
+fields (read from JSON by their declared types), checks, when it is active,
+and the rule evidence it should leave. A new effect type is one such class
+plus one entry in PlantedEffect.
 """
 
 from __future__ import annotations
@@ -20,17 +21,7 @@ from typing import Any, ClassVar, Union, get_args
 
 from .errors import UsageError
 from .features import DEFAULT_EPOCH
-from .ingest import (
-    array,
-    choice,
-    format_timestamp,
-    instance,
-    integer,
-    number,
-    parse_timestamp,
-    read_tagged,
-    text,
-)
+from .ingest import array, choice, format_timestamp, instance, read_tagged
 from .lift import RejectionRule
 from .model import (
     Column,
@@ -53,7 +44,6 @@ class MachineDefect:
     """One of n parallel machines raises the wafer rejection probability."""
 
     type_name: ClassVar[str] = "machine_defect"
-    readers: ClassVar[dict] = dict(n_machines=integer, bad_machine_id=integer, delta_p=number)
 
     n_machines: int
     bad_machine_id: int
@@ -75,7 +65,6 @@ class SupplierImpurity:
     """Raw material from one supplier raises the rejection probability."""
 
     type_name: ClassVar[str] = "supplier_impurity"
-    readers: ClassVar[dict] = dict(n_suppliers=integer, bad_supplier_id=integer, delta_p=number)
 
     n_suppliers: int
     bad_supplier_id: int
@@ -100,7 +89,6 @@ class ShiftEffect:
     """
 
     type_name: ClassVar[str] = "shift_effect"
-    readers: ClassVar[dict] = dict(night_start_hour=integer, night_end_hour=integer, delta_p=number)
 
     night_start_hour: int
     night_end_hour: int
@@ -129,7 +117,6 @@ class StepChange:
     """A one-off event: batches started at or after at_time suffer."""
 
     type_name: ClassVar[str] = "step_change"
-    readers: ClassVar[dict] = dict(at_time=parse_timestamp, delta_p=number)
 
     at_time: datetime
     delta_p: float
@@ -147,7 +134,6 @@ class CyclicEffect:
     of the given period, phased from the scenario start time."""
 
     type_name: ClassVar[str] = "cyclic_effect"
-    readers: ClassVar[dict] = dict(period_hours=number, delta_p=number)
 
     period_hours: float
     delta_p: float
@@ -355,20 +341,18 @@ def planted_labels(scenario: FabScenario, dataset: HierarchicalDataset) -> list[
     ]
 
 
-_EFFECTS = {effect.type_name: effect for effect in get_args(PlantedEffect)}
+_EFFECTS = {
+    effect.type_name: instance(effect, f"{effect.type_name} effect")
+    for effect in get_args(PlantedEffect)
+}
 
 
 def _effect_from_dict(doc: Any) -> PlantedEffect:
-    effect, fields = read_tagged(doc, "effect", "type", choice(_EFFECTS))
-    return instance(effect, f"{doc['type']} effect", **effect.readers)(fields)
+    read, fields = read_tagged(doc, "effect", "type", choice(_EFFECTS))
+    return read(fields)
 
 
-_SCENARIO = instance(
-    FabScenario, "scenario", seed=integer, n_batches=integer, wafers_per_batch=integer,
-    sites_per_wafer=integer, ics_per_wafer=integer, base_reject_prob=number,
-    start_time=parse_timestamp, batch_interval_minutes=integer, site_parameter=text,
-    site_threshold=number, rule_min_count=integer, effects=array(_effect_from_dict),
-)
+_SCENARIO = instance(FabScenario, "scenario", effects=array(_effect_from_dict))
 
 
 def scenario_from_dict(doc: Any) -> FabScenario:

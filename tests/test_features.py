@@ -278,15 +278,18 @@ class TestCorrelationTable:
             "a": [1.0, 2.0, 4.0, 3.0],
             "big": [1e308, 1.5e308, 1.2e308, 1.7e308],  # the sum of the values overflows
             "wide": [1e200, -1e200, 0.0, 1.0],  # the sum of squares overflows
+            # each square is finite (1e308), but fsum of them raises OverflowError
+            "even": [1e154, -1e154, 1e154, -1e154],
         })
         report = correlation_table(table)
-        assert report.matrix[0][1:] == (None, None)
-        assert report.matrix[1][2] is None
+        assert report.matrix[0][1:] == (None, None, None)
+        assert report.matrix[1][2:] == (None, None)
+        assert report.matrix[2][3] is None
         assert report.flagged_pairs == ()
         path = tmp_path / "correlation.csv"
         write_correlation_csv(report, path)
         assert path.read_text(encoding="utf-8").splitlines()[1:] == [
-            "a,big,,0", "a,wide,,0", "big,wide,,0"
+            "a,big,,0", "a,wide,,0", "a,even,,0", "big,wide,,0", "big,even,,0", "wide,even,,0"
         ]
 
     @pytest.mark.parametrize("scale", ["e-100", "e100"])

@@ -422,6 +422,12 @@ class TestRenderReport:
     def test_empty_rule_list(self):
         assert "no rules found" in render_report([]).lower()
 
+    def test_root_leaf_of_class_1_is_a_rule_with_no_conditions(self):
+        tree = train(numeric_dataset([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1] * 6), LOOSE)
+        assert tree.root.is_leaf
+        expected = "IF always THEN reject [support 6, confidence 1.00]\n"
+        assert render_report(extract_rules(tree)) == expected
+
     def test_deterministic(self):
         rules = [
             Rule((Condition(SplitTest("x", threshold=1.5)),), 7, 0.875),

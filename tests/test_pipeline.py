@@ -13,7 +13,9 @@ from yieldtree import synthfab
 from yieldtree.cli import main
 from yieldtree.errors import AnalysisError, DataError, UsageError
 from yieldtree.model import Column, ColumnKind, Table
-from yieldtree.pipeline import ScreenSettings, _screen_dataset, config_from_dict, run_pipeline
+from yieldtree.pipeline import (
+    ScreenSettings, StatsLift, _screen_dataset, config_from_dict, run_pipeline,
+)
 from yieldtree.synthfab import scenario_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -201,6 +203,10 @@ class TestConfigValidation:
         result = run_config(doc, tmp_path)
         assert "x" not in result.feature_table.column_names
         assert "oven_temp" not in result.feature_table.column_names
+
+    def test_stats_lift_below_the_batch_level_is_usage_error(self):
+        with pytest.raises(UsageError, match="to_level"):
+            StatsLift("x", to_level=WAFER)
 
     def test_null_source_beside_a_problem_is_absent(self, tmp_path):
         doc = base_config(tmp_path / "out")
