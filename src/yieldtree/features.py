@@ -51,9 +51,8 @@ def _derive(
     """The table with columns appended whose cells are cells(value) of each
     row's source value; a missing source value gives missing cells."""
     blank = (MISSING,) * len(columns)
-    return table.with_added_columns(
-        columns, [blank if value is MISSING else cells(value) for value in values]
-    )
+    derived = [blank if value is MISSING else cells(value) for value in values]
+    return table.with_added_columns(columns, list(zip(*derived)) or [()] * len(columns))
 
 
 def _cyclical_cells(ts: datetime, holidays: frozenset[date]) -> tuple[int, int, int, int, int]:
@@ -116,7 +115,7 @@ def order_from_batch_id(table: Table, id_column: str) -> Table:
         ids = table.values(id_column)
     elif id_column in table.level.key_fields:
         position = table.level.key_fields.index(id_column)
-        ids = [row.key[position] for row in table.rows]
+        ids = [key[position] for key in table.keys]
     else:
         raise UsageError(
             f"{id_column!r} is neither an identifier column nor a key field "

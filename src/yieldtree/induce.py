@@ -23,7 +23,9 @@ and run_pipeline pauses the cyclic collector that would free it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Iterator, Mapping, Sequence
 
 from .errors import DataError, UsageError
@@ -235,7 +237,7 @@ def train(data: LabeledDataset, config: TrainConfig = TrainConfig()) -> Decision
     identifier and timestamp columns are ignored (encode timestamps first).
     Feature cells must be complete: screens run upstream.
     """
-    if not data.features.rows:
+    if not data.features.keys:
         raise UsageError("cannot train on an empty dataset")
     columns = tuple(
         c
@@ -415,15 +417,10 @@ class EvalReport:
 
 def evaluate(tree: DecisionTree, holdout: LabeledDataset) -> EvalReport:
     """Confusion counts of the tree's predictions on a labeled holdout."""
-    tp = fp = tn = fn = 0
-    for row, label in zip(holdout.features.rows, holdout.labels):
-        predicted = predict(tree, holdout.features.row_mapping(row))
-        if predicted == 1 and label == 1:
-            tp += 1
-        elif predicted == 1:
-            fp += 1
-        elif label == 1:
-            fn += 1
-        else:
-            tn += 1
-    return EvalReport(tp, fp, tn, fn)
+    features = holdout.features
+    rows = zip(*features.cells) if features.cells else repeat(())
+    outcomes = Counter(
+        (predict(tree, dict(zip(features.column_names, row))), label)
+        for row, label in zip(rows, holdout.labels)
+    )
+    return EvalReport(tp=outcomes[1, 1], fp=outcomes[1, 0], tn=outcomes[0, 0], fn=outcomes[0, 1])

@@ -32,7 +32,6 @@ from .model import (
     EntityKey,
     GranularityLevel,
     HierarchicalDataset,
-    Row,
     Table,
 )
 
@@ -196,9 +195,11 @@ def choice(options: Mapping[str, T] | type[Enum]) -> Callable[[Any], T]:
     return read
 
 
+# A date is YYYY-MM-DD: not date.fromisoformat, whose grammar grows with the
+# CPython version (3.11 reads "19901225" and "1990-W52-2").
 _SCALARS = {
-    int: integer, float: number, bool: flag, str: text,
-    datetime: parse_timestamp, date: date.fromisoformat,
+    int: integer, float: number, bool: flag, str: text, datetime: parse_timestamp,
+    date: lambda value: datetime.strptime(value, "%Y-%m-%d").date(),
 }
 
 
@@ -305,9 +306,10 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
         width = 1 + max(positions[name] for name in needed)
         tokens = schema.missing_tokens
         no_key = tokens | {""}
-        rows: list[Row] = []
+        keys: list[EntityKey] = []
+        cells: list[list[Any]] = [[] for _ in schema.columns]
         while block := _next_records(reader, _BLOCK_ROWS, path):
-            first = len(rows) + 1  # row number of block[0]
+            first = len(keys) + 1  # row number of block[0]
             if min(map(len, block)) < width:
                 i = next(i for i, record in enumerate(block) if len(record) < width)
                 raise ParseError(
@@ -320,8 +322,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
                 if not no_key.isdisjoint(column):
                     i = next(i for i, value in enumerate(column) if value in no_key)
                     raise ParseError(f"{path}: row {first + i}: key column {name} is missing")
-            cells = []
-            for c in schema.columns:
+            for c, parsed in zip(schema.columns, cells):
                 texts = fields[positions[c.name]]
                 values = _convert(texts, c.kind, tokens)
                 if values is None:
@@ -331,11 +332,10 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
                     raise ParseError(
                         f"row {first + i}, column {c.name}: cannot parse {texts[i]!r} as {expected}"
                     )
-                cells.append(values)
-            keys = map(EntityKey.from_ids, zip(*ids))
-            rows.extend(map(Row, keys, zip(*cells) if cells else repeat((), len(block))))
+                parsed.extend(values)
+            keys.extend(map(EntityKey.from_ids, zip(*ids)))
 
-    return Table(schema.level, schema.columns, tuple(rows))
+    return Table.from_columns(schema.level, schema.columns, keys, cells)
 
 
 def load_dataset(specs: list[tuple[str | Path, TableSchema]]) -> HierarchicalDataset:
@@ -350,7 +350,8 @@ def load_dataset(specs: list[tuple[str | Path, TableSchema]]) -> HierarchicalDat
 
 def drop_missing(table: Table) -> tuple[Table, int]:
     """Drop every row that has at least one missing cell."""
-    keep = [MISSING not in row.cells for row in table.rows]
+    gaps = [column for column in table.cells if MISSING in column]
+    keep = [MISSING not in cells for cells in zip(*gaps)] if gaps else [True] * len(table)
     kept = table.filter_rows(keep)
     return kept, len(table) - len(kept)
 
@@ -374,14 +375,14 @@ def apply_sensor_limits(
     # every violating cell, scanned one limited column at a time, sorted back
     # to row order and, within a row, to column order
     hits = sorted(
-        (r, order, name, cells[i])
+        (r, order, name, value)
         for order, (i, name, (lo, hi)) in enumerate(limited)
-        for r, (_, cells) in enumerate(table.rows)
-        if cells[i] is not MISSING and not lo <= cells[i] <= hi
+        for r, value in enumerate(table.cells[i])
+        if value is not MISSING and not lo <= value <= hi
     )
     dropped = {hit[0] for hit in hits}
     keep = [r not in dropped for r in range(len(table))]
-    return table.filter_rows(keep), [(table.rows[r].key, c, v) for r, _, c, v in hits]
+    return table.filter_rows(keep), [(table.keys[r], c, v) for r, _, c, v in hits]
 
 
 def _format_cell(value: Any, column: Column) -> str:
@@ -408,10 +409,11 @@ def write_table(table: Table, path: str | Path) -> None:
     Numeric cells use shortest round-trip float formatting so that
     export -> load reproduces identical values.
     """
+    texts = (map(_format_cell, cells, repeat(c)) for c, cells in zip(table.columns, table.cells))
     write_csv(
         path,
         table.level.key_fields + table.column_names,
-        (row.key + tuple(map(_format_cell, row.cells, table.columns)) for row in table.rows),
+        ((*key, *row) for key, *row in zip(table.keys, *texts)),
     )
 
 

@@ -1,8 +1,8 @@
 """Granularity changes: summary-statistic lifting, rejection-rate lifting,
 and downward broadcast of coarse values.
 
-Both lifts read the groups of `model.group_by_ancestor`, whose rows keep
-input order. Each lift has one row per row of its coarse table, in that
+Both lifts read the groups of `model.group_by_ancestor`, whose row
+positions keep input order. Each lift has one row per row of its coarse table, in that
 table's order; without a coarse table, rows come in ascending key order.
 Method B finds each batch's wafers inside that batch's site group and holds
 one batch's wafers at a time.
@@ -28,7 +28,6 @@ from .model import (
     ColumnKind,
     GranularityLevel,
     HierarchicalDataset,
-    Row,
     Table,
     group_by_ancestor,
 )
@@ -144,26 +143,20 @@ def lift_stats(
             f"from_level {from_level.name} must be finer than to_level {to_level.name}"
         )
     from_table = dataset.table(from_level)
-    i = _numeric_index(from_table, parameter)
-    values_by_key = {
-        key: [row.cells[i] for row in rows if row.cells[i] is not MISSING]
-        for key, rows in group_by_ancestor(from_table, to_level).items()
-    }
+    cells = from_table.cells[_numeric_index(from_table, parameter)]
+    groups = group_by_ancestor(from_table, to_level)
     to_table = dataset.tables.get(to_level)
-    keys = values_by_key if to_table is None else [row.key for row in to_table.rows]
+    keys = tuple(groups) if to_table is None else to_table.keys
 
-    new_columns = tuple(
-        Column(f"{parameter}_{suffix}", ColumnKind.NUMERIC) for suffix in STAT_SUFFIXES
-    )
-    rows = []
+    stats = []
     for key in keys:
-        values = values_by_key.get(key)
+        group = map(cells.__getitem__, groups.get(key, ()))
+        values = [value for value in group if value is not MISSING]
         if not values:
-            raise DataError(
-                f"no {parameter!r} measurements under {to_level.name} entity {key}"
-            )
-        rows.append(Row(key, tuple(_group_stats(values))))
-    return Table(to_level, new_columns, tuple(rows))
+            raise DataError(f"no {parameter!r} measurements under {to_level.name} entity {key}")
+        stats.append(_group_stats(values))
+    columns = [Column(f"{parameter}_{suffix}", ColumnKind.NUMERIC) for suffix in STAT_SUFFIXES]
+    return Table.from_columns(to_level, columns, keys, list(zip(*stats)) or [()] * len(columns))
 
 
 def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table:
@@ -178,21 +171,22 @@ def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table
         if level not in dataset.tables:
             raise UsageError(f"Method B needs a {level.name} table")
     site = dataset.table(GranularityLevel.SITE)
-    i = _numeric_index(site, rule.parameter)
+    keys, values = site.keys, site.cells[_numeric_index(site, rule.parameter)]
     sites_by_batch = group_by_ancestor(site, GranularityLevel.BATCH)
 
-    column = Column(rule.reject_rate_column(), ColumnKind.NUMERIC, units="percent")
-    rows = []
-    for batch_key, _ in dataset.table(GranularityLevel.BATCH).rows:
+    batch_keys = dataset.table(GranularityLevel.BATCH).keys
+    rates = []
+    for batch_key in batch_keys:
         values_by_wafer: dict[str, list[float]] = {}
-        for key, cells in sites_by_batch.get(batch_key, ()):
-            if cells[i] is not MISSING:
-                values_by_wafer.setdefault(key[1], []).append(cells[i])
+        for position in sites_by_batch.get(batch_key, ()):
+            if values[position] is not MISSING:
+                values_by_wafer.setdefault(keys[position][1], []).append(values[position])
         if not values_by_wafer:
             raise DataError(f"no {rule.parameter!r} measurements under batch {batch_key}")
         rejected = sum(map(rule.wafer_rejected, values_by_wafer.values()))
-        rows.append(Row(batch_key, (100 * rejected / len(values_by_wafer),)))
-    return Table(GranularityLevel.BATCH, (column,), tuple(rows))
+        rates.append(100 * rejected / len(values_by_wafer))
+    column = Column(rule.reject_rate_column(), ColumnKind.NUMERIC, units="percent")
+    return Table.from_columns(GranularityLevel.BATCH, (column,), batch_keys, (rates,))
 
 
 def broadcast_down(
@@ -206,22 +200,16 @@ def broadcast_down(
     A missing ancestor value broadcasts the missing marker.
     """
     if from_level >= to_level:
-        raise UsageError(
-            f"from_level {from_level.name} must be coarser than to_level {to_level.name}"
-        )
+        raise UsageError(f"from_level {from_level.name} must be coarser than to_level {to_level.name}")
     source = dataset.table(from_level)
     target = dataset.table(to_level)
-    declaration = source.column(column)
-    value_index = source.column_index(column)
-    by_key = {row.key: row.cells[value_index] for row in source.rows}
+    by_key = dict(zip(source.keys, source.cells[source.column_index(column)]))
 
     depth = from_level + 1
-    rows = []
-    for row in target.rows:
-        prefix = row.key[:depth]
+    values = []
+    for key in target.keys:
+        prefix = key[:depth]
         if prefix not in by_key:
-            raise DataError(
-                f"row {row.key} has no {from_level.name} ancestor {row.key.ancestor(from_level)}"
-            )
-        rows.append(Row(row.key, (by_key[prefix],)))
-    return Table(to_level, (declaration,), tuple(rows))
+            raise DataError(f"row {key} has no {from_level.name} ancestor {key.ancestor(from_level)}")
+        values.append(by_key[prefix])
+    return Table.from_columns(to_level, (source.column(column),), target.keys, (values,))

@@ -1,20 +1,24 @@
 """Domain types for multi-granularity manufacturing data.
 
 A dataset is a set of keyed tables, one per granularity level, ordered
-coarse to fine: batch > wafer > site > IC. Values are immutable after
-construction; every operation returns new objects. Columns are appended in
-one place, `Table.with_added_columns`, which `join_tables` and the encoders
-call.
+coarse to fine: batch > wafer > site > IC. A table is stored by column: one
+tuple of row keys and one tuple of cells per column. The package builds
+every table from columns; `Row` and `Table.rows` are the row view for
+library callers. Values are immutable after construction; every operation
+returns new objects. Columns are appended in one place,
+`Table.with_added_columns`, which `join_tables` and the encoders call.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from itertools import islice
+from itertools import compress, islice, repeat
 from operator import itemgetter, lt
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
 
@@ -159,48 +163,81 @@ class EntityKey(tuple):
 
 # A prefix of a checked key is a valid key of a coarser level: no re-check.
 _prefix_key = partial(tuple.__new__, EntityKey)
-_key_of = itemgetter(0)  # a Row's key
 
 
 class Row(NamedTuple):
+    """One row as library callers build and read a table: its key and cells."""
+
     key: EntityKey
     cells: tuple[Any, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Table:
-    """Keyed table at a single granularity level.
+    """Keyed table at a single granularity level, stored by column: `keys`
+    holds each row's key and `cells` one tuple per column, in row order.
 
-    Structural invariants (level match, cell arity) are enforced here;
-    duplicate keys are data rather than construction errors and are reported
+    `Table(level, columns, rows)` builds one from `Row`s; `from_columns`
+    builds one from its keys and columns. Both end in `__post_init__`, the
+    one structural check (column names, key levels, column lengths).
+    Duplicate keys are data rather than construction errors and are reported
     by validate_hierarchy.
     """
 
     level: GranularityLevel
     columns: tuple[Column, ...]
-    rows: tuple[Row, ...]
+    keys: tuple[EntityKey, ...]
+    cells: tuple[tuple[Any, ...], ...]
+
+    def __init__(
+        self, level: GranularityLevel, columns: Sequence[Column], rows: Iterable[Row]
+    ) -> None:
+        rows, columns = tuple(rows), tuple(columns)
+        short = next((row for row in rows if len(row.cells) != len(columns)), None)
+        if short is not None:
+            raise UsageError(f"row {short.key} has {len(short.cells)} cells for {len(columns)} columns")
+        cells = list(zip(*(row.cells for row in rows))) or [()] * len(columns)
+        # the dataclass is frozen: fields are set in the instance dict
+        vars(self).update(level=level, columns=columns, keys=[row.key for row in rows], cells=cells)
+        self.__post_init__()
+
+    @classmethod
+    def from_columns(cls, level: GranularityLevel, columns: Sequence[Column],
+                     keys: Iterable[EntityKey], cells: Iterable[Iterable[Any]]) -> "Table":
+        """Table of one key per row and one cell sequence per column, in row order."""
+        table = cls.__new__(cls)
+        vars(table).update(level=level, columns=columns, keys=keys, cells=cells)
+        table.__post_init__()
+        return table
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(self.rows))
+        """Store tuples and check them; perfbench/tracer.py patches this hook."""
+        vars(self).update(
+            columns=tuple(self.columns), keys=tuple(self.keys), cells=tuple(map(tuple, self.cells))
+        )
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             twice = sorted({name for name in names if names.count(name) > 1})
             raise UsageError(f"duplicate column names: {twice}")
-        depth, width = self.level + 1, len(self.columns)
-        for row in self.rows:
-            if len(row.key) != depth:
-                ids = len(row.key)
-                named = 0 < ids <= 4  # a key built around its check may not be
-                at = f"is at {GranularityLevel(ids - 1).name}" if named else f"has {ids} ids"
-                raise UsageError(f"row {row.key} {at}, table is {self.level.name}")
-            if len(row.cells) != width:
-                raise UsageError(
-                    f"row {row.key} has {len(row.cells)} cells for {len(self.columns)} columns"
-                )
+        depth, height = self.level + 1, len(self.keys)
+        if set(map(len, self.keys)) - {depth}:
+            key = next(key for key in self.keys if len(key) != depth)
+            named = 0 < len(key) <= 4  # a key built around its check may not be
+            at = f"is at {GranularityLevel(len(key) - 1).name}" if named else f"has {len(key)} ids"
+            raise UsageError(f"row {key} {at}, table is {self.level.name}")
+        if len(self.cells) != len(self.columns):
+            raise UsageError(f"{len(self.cells)} cell columns for {len(self.columns)} columns")
+        for column, cells in zip(self.columns, self.cells):
+            if len(cells) != height:
+                raise UsageError(f"column {column.name!r} has {len(cells)} cells for {height} rows")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.keys)
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The rows, built on each call for library callers."""
+        return tuple(map(Row, self.keys, zip(*self.cells) if self.cells else repeat(())))
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -220,24 +257,17 @@ class Table:
 
     def values(self, name: str) -> list[Any]:
         """Cell values of one column, in row order (missing marker included)."""
-        i = self.column_index(name)
-        return [row.cells[i] for row in self.rows]
+        return list(self.cells[self.column_index(name)])
 
     def row_mapping(self, row: Row) -> dict[str, Any]:
         """One row's cells as a name -> value mapping."""
         return dict(zip(self.column_names, row.cells))
 
-    def with_added_columns(
-        self, columns: Sequence[Column], cells_per_row: Sequence[Sequence[Any]]
-    ) -> "Table":
-        """New table with extra columns appended; cells align with rows, names are new."""
-        if len(cells_per_row) != len(self.rows):
-            raise UsageError("added cells do not align with rows")
-        new_rows = tuple(
-            Row(row.key, row.cells + tuple(extra))
-            for row, extra in zip(self.rows, cells_per_row)
-        )
-        return Table(self.level, self.columns + tuple(columns), new_rows)
+    def with_added_columns(self, columns: Sequence[Column], cells: Sequence[Sequence[Any]]) -> "Table":
+        """New table with extra columns appended: one cell sequence per added
+        column, in row order; names are new."""
+        columns, cells = self.columns + tuple(columns), self.cells + tuple(cells)
+        return Table.from_columns(self.level, columns, self.keys, cells)
 
     def without_columns(self, names: Sequence[str]) -> "Table":
         """New table with the named columns removed."""
@@ -246,23 +276,18 @@ class Table:
         if unknown:
             raise UsageError(f"cannot drop unknown columns: {sorted(unknown)}")
         keep = [i for i, c in enumerate(self.columns) if c.name not in drop]
-        cols = tuple(self.columns[i] for i in keep)
-        rows = tuple(
-            Row(r.key, tuple(r.cells[i] for i in keep)) for r in self.rows
+        return Table.from_columns(
+            self.level, [self.columns[i] for i in keep], self.keys, [self.cells[i] for i in keep]
         )
-        return Table(self.level, cols, rows)
 
     def filter_rows(self, keep: Sequence[bool]) -> "Table":
         """Rows where the mask is true, order preserved; this table itself if that is all."""
-        if len(keep) != len(self.rows):
+        if len(keep) != len(self):
             raise UsageError("row mask does not align with rows")
         if all(keep):
             return self
-        return Table(
-            self.level,
-            self.columns,
-            tuple(r for r, k in zip(self.rows, keep) if k),
-        )
+        cells = [compress(column, keep) for column in self.cells]
+        return Table.from_columns(self.level, self.columns, compress(self.keys, keep), cells)
 
 
 @dataclass(frozen=True)
@@ -302,10 +327,8 @@ class LabeledDataset:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.labels) != len(self.features.rows):
-            raise UsageError(
-                f"{len(self.labels)} labels for {len(self.features.rows)} rows"
-            )
+        if len(self.labels) != len(self.features):
+            raise UsageError(f"{len(self.labels)} labels for {len(self.features)} rows")
         bad = sorted({v for v in self.labels} - {0, 1})
         if bad:
             raise UsageError(f"labels must be 0 or 1, got {bad}")
@@ -319,10 +342,7 @@ class LabeledDataset:
 
     def filter_rows(self, keep: Sequence[bool]) -> "LabeledDataset":
         """New dataset keeping rows where the mask is true; order preserved."""
-        return LabeledDataset(
-            self.features.filter_rows(keep),
-            tuple(label for label, k in zip(self.labels, keep) if k),
-        )
+        return LabeledDataset(self.features.filter_rows(keep), tuple(compress(self.labels, keep)))
 
 
 @dataclass(frozen=True)
@@ -363,45 +383,41 @@ def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
     orphans: list[Violation] = []
     coarser: list[tuple[GranularityLevel, int, set[EntityKey] | None]] = []
     for level in dataset.levels:
-        rows = dataset.tables[level].rows
-        ascending = level is dataset.levels[-1] and all(
-            map(lt, map(_key_of, rows), map(_key_of, islice(rows, 1, None)))
-        )
-        keys = None if ascending else set(map(_key_of, rows))
-        if not (ascending or len(keys) == len(rows)) or not all(
-            all(map(parents.__contains__, map(itemgetter(slice(depth)), map(_key_of, rows))))
+        keys = dataset.tables[level].keys
+        ascending = level is dataset.levels[-1] and all(map(lt, keys, islice(keys, 1, None)))
+        seen = None if ascending else set(keys)
+        if not (ascending or len(seen) == len(keys)) or not all(
+            all(map(parents.__contains__, map(itemgetter(slice(depth)), keys)))
             for _, depth, parents in coarser
         ):
-            keys = set()
-            for key, _ in rows:
-                if key in keys:
+            seen = set()
+            for key in keys:
+                if key in seen:
                     duplicates.append(Violation("duplicate", level, key, f"key {key} occurs more than once"))
-                keys.add(key)
+                seen.add(key)
                 for parent_level, depth, parents in coarser:
                     if key[:depth] not in parents:
                         detail = f"row {key} has no {parent_level.name} ancestor {key.ancestor(parent_level)}"
                         orphans.append(Violation("orphan", level, key, detail))
-        coarser.append((level, level + 1, keys))
+        coarser.append((level, level + 1, seen))
     return ValidationReport(tuple(orphans), tuple(duplicates))
 
 
-def group_by_ancestor(
-    table: Table, ancestor_level: GranularityLevel
-) -> dict[EntityKey, tuple[Row, ...]]:
-    """Map each ancestor key at a strictly coarser level to its rows.
+def group_by_ancestor(table: Table, ancestor_level: GranularityLevel) -> dict[EntityKey, array]:
+    """Map each ancestor key at a strictly coarser level to the positions of
+    its rows in the table.
 
-    Keys come in ascending id order and rows in input order within a group,
-    so downstream reductions are deterministic whatever the input order.
+    Keys come in ascending id order and positions in row order within a
+    group, so downstream reductions are deterministic whatever the input
+    order. Each group is one array of machine integers.
     """
     if ancestor_level >= table.level:
-        raise UsageError(
-            f"{ancestor_level.name} is not coarser than {table.level.name}"
-        )
+        raise UsageError(f"{ancestor_level.name} is not coarser than {table.level.name}")
     depth = ancestor_level + 1
-    buckets: dict[tuple[str, ...], list[Row]] = {}
-    for row in table.rows:
-        buckets.setdefault(row.key[:depth], []).append(row)
-    return {_prefix_key(prefix): tuple(buckets[prefix]) for prefix in sorted(buckets)}
+    buckets: defaultdict[tuple[str, ...], array] = defaultdict(partial(array, "q"))
+    for position, key in enumerate(table.keys):
+        buckets[key[:depth]].append(position)
+    return {_prefix_key(prefix): buckets[prefix] for prefix in sorted(buckets)}
 
 
 def join_tables(left: Table, right: Table) -> Table:
@@ -411,13 +427,13 @@ def join_tables(left: Table, right: Table) -> Table:
     not collide. Used to assemble analysis-level feature tables.
     """
     if left.level is not right.level:
-        raise UsageError(
-            f"cannot join {left.level.name} table with {right.level.name} table"
-        )
-    by_key = {row.key: row.cells for row in right.rows}
-    if len(by_key) != len(right.rows):
+        raise UsageError(f"cannot join {left.level.name} table with {right.level.name} table")
+    position_of = dict(zip(right.keys, range(len(right))))
+    if len(position_of) != len(right):
         raise UsageError("right table has duplicate keys; cannot join")
-    matches = [by_key.get(row.key) for row in left.rows]
-    if None in matches:
-        raise UsageError(f"no right-side row for key {left.rows[matches.index(None)].key}")
-    return left.with_added_columns(right.columns, matches)
+    positions = list(map(position_of.get, left.keys))
+    if None in positions:
+        raise UsageError(f"no right-side row for key {left.keys[positions.index(None)]}")
+    return left.with_added_columns(
+        right.columns, [list(map(column.__getitem__, positions)) for column in right.cells]
+    )

@@ -294,9 +294,9 @@ def _screen_dataset(
     # cascade: a dropped ancestor takes its descendants with it
     levels = sorted(tables)
     for parent_level, level in zip(levels, levels[1:]):
-        parents = {row.key for row in tables[parent_level].rows}
+        parents = set(tables[parent_level].keys)
         depth = parent_level + 1
-        keep = [row.key[:depth] in parents for row in tables[level].rows]
+        keep = [key[:depth] in parents for key in tables[level].keys]
         stats["orphans_pruned"][level.name.lower()] = len(keep) - sum(keep)
         tables[level] = tables[level].filter_rows(keep)
 
@@ -405,7 +405,7 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
     # --- screens
     dataset, screen_meta = _screen_dataset(dataset, config.screens)
     analysis = dataset.table(GranularityLevel.BATCH)
-    if not analysis.rows:
+    if not analysis.keys:
         raise EmptyDatasetError(
             "no batch is left after the screens: "
             f"{screen_meta['missing_dropped'].get('batch', 0)} dropped for missing cells, "
@@ -443,7 +443,7 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
         else:
             values = analysis.values(source)
             if MISSING in values:
-                gap = analysis.rows[values.index(MISSING)].key
+                gap = analysis.keys[values.index(MISSING)]
                 raise DataError(f"target {t.name!r}: {source!r} is missing for batch {gap}")
         histogram_report = targeting.histogram(values, t.histogram_bins)
         try:

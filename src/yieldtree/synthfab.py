@@ -29,7 +29,6 @@ from .model import (
     EntityKey,
     GranularityLevel,
     HierarchicalDataset,
-    Row,
     Table,
 )
 from .rng import PortableRandom, derive_seed
@@ -233,7 +232,6 @@ BATCH_COLUMNS = (
     Column("yield", ColumnKind.NUMERIC, units="percent"),
 )
 WAFER_COLUMNS = (Column("rejected", ColumnKind.NUMERIC),)
-_REJECTED, _ACCEPTED = (1.0,), (0.0,)  # every wafer row shares one of these cell tuples
 
 
 def _site_columns(scenario: FabScenario) -> tuple[Column, ...]:
@@ -254,17 +252,17 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
     k = scenario.rule_min_count
     sites = scenario.sites_per_wafer
 
-    batch_rows: list[Row] = []
-    wafer_rows: list[Row] = []
-    site_rows: list[Row] = []
-    ic_rows: list[Row] = []
+    # each level's row keys, and its cells: row by row for the batch table,
+    # the one column of every other table
+    batch_keys, wafer_keys, site_keys, ic_keys = [], [], [], []
+    batch_cells, wafer_rejected, site_values, ic_values = [], [], [], []
     wafer_ids = _zero_padded(scenario.wafers_per_batch, 2)
     site_ids = _zero_padded(sites, 1)
     ic_ids = _zero_padded(scenario.ics_per_wafer, 3)
 
     for b, batch_id in enumerate(_zero_padded(scenario.n_batches, 4)):
         rng = PortableRandom(derive_seed(scenario.seed, b))
-        batch_key = EntityKey.from_ids((batch_id,))
+        batch_keys.append(EntityKey.from_ids((batch_id,)))
         timestamp = scenario.batch_start(b)
         machine = str(rng.randint(0, scenario.n_machines - 1))
         operator = str(rng.randint(0, DEFAULT_OPERATORS - 1))
@@ -275,42 +273,39 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
 
         accepted = 0
         for wafer_id in wafer_ids:
-            wafer_key = EntityKey.from_ids((batch_id, wafer_id))
+            wafer_keys.append(EntityKey.from_ids((batch_id, wafer_id)))
             rejected = rng.random() < p
             if not rejected:
                 accepted += 1
-            wafer_rows.append(Row(wafer_key, _REJECTED if rejected else _ACCEPTED))
+            wafer_rejected.append(1.0 if rejected else 0.0)
 
             # how many sites exceed the threshold: >= k iff rejected
             exceed_count = rng.randint(k, sites) if rejected else rng.randint(0, k - 1)
             exceeding = set(rng.shuffled(range(sites))[:exceed_count])
             for s, site_id in enumerate(site_ids):
-                site_key = EntityKey.from_ids((batch_id, wafer_id, site_id))
+                site_keys.append(EntityKey.from_ids((batch_id, wafer_id, site_id)))
                 if s in exceeding:
-                    value = rng.uniform(t + 0.5, t + 5.0)
+                    site_values.append(rng.uniform(t + 0.5, t + 5.0))
                 else:
-                    value = rng.uniform(t - 8.0, t - 0.5)
-                site_rows.append(Row(site_key, (value,)))
+                    site_values.append(rng.uniform(t - 8.0, t - 0.5))
 
             for i, ic_id in enumerate(ic_ids):
-                ic_key = EntityKey.from_ids((batch_id, wafer_id, site_ids[i % sites], ic_id))
-                ic_rows.append(Row(ic_key, (rng.uniform(0.0, 1.0),)))
+                ic_keys.append(EntityKey.from_ids((batch_id, wafer_id, site_ids[i % sites], ic_id)))
+                ic_values.append(rng.uniform(0.0, 1.0))
 
         batch_yield = 100 * accepted / scenario.wafers_per_batch
-        batch_rows.append(
-            Row(
-                batch_key,
-                (timestamp, machine, operator, supplier, oven_temp, humidity, batch_yield),
-            )
-        )
+        batch_cells.append((timestamp, machine, operator, supplier, oven_temp, humidity, batch_yield))
 
     tables = {
-        GranularityLevel.BATCH: Table(GranularityLevel.BATCH, BATCH_COLUMNS, tuple(batch_rows)),
-        GranularityLevel.WAFER: Table(GranularityLevel.WAFER, WAFER_COLUMNS, tuple(wafer_rows)),
-        GranularityLevel.SITE: Table(GranularityLevel.SITE, _site_columns(scenario), tuple(site_rows)),
+        level: Table.from_columns(level, columns, keys, cells)
+        for level, columns, keys, cells in (
+            (GranularityLevel.BATCH, BATCH_COLUMNS, batch_keys, zip(*batch_cells)),
+            (GranularityLevel.WAFER, WAFER_COLUMNS, wafer_keys, [wafer_rejected]),
+            (GranularityLevel.SITE, _site_columns(scenario), site_keys, [site_values]),
+            (GranularityLevel.IC, IC_COLUMNS, ic_keys, [ic_values]),
+        )
+        if keys  # no IC table when the scenario has no ICs
     }
-    if scenario.ics_per_wafer > 0:
-        tables[GranularityLevel.IC] = Table(GranularityLevel.IC, IC_COLUMNS, tuple(ic_rows))
     return HierarchicalDataset(tables)
 
 

@@ -189,7 +189,7 @@ def apply_grey_region(
     """
     if delta < 0:
         raise UsageError("grey half-width must be >= 0")
-    if len(values) != len(features.rows):
+    if len(values) != len(features):
         raise UsageError("values do not align with feature rows")
     labeled = LabeledDataset(features, tuple(label_by_threshold(values, t, direction)))
     kept = labeled.filter_rows([not (t - delta < v < t + delta) for v in values])

@@ -353,8 +353,8 @@ class TestBroadcastDown:
 
     def test_group_round_trip_recovers_value(self):
         table = broadcast_down(self._dataset(), "oven_temp", BATCH, SITE)
-        for rows in group_by_ancestor(table, BATCH).values():
-            assert rows[0].cells[0] == 350.0
+        for positions in group_by_ancestor(table, BATCH).values():
+            assert table.rows[positions[0]].cells[0] == 350.0
 
     def test_missing_value_broadcasts_missing(self):
         table = broadcast_down(self._dataset(MISSING), "oven_temp", BATCH, WAFER)

@@ -184,8 +184,42 @@ class TestTable:
         col = Column("x", ColumnKind.NUMERIC)
         table = Table(BATCH, (col,), (Row(batch_key("b1"), (1.0,)), Row(batch_key("b2"), (2.0,))))
         added = [Column("y", ColumnKind.NUMERIC), Column("z", ColumnKind.NUMERIC)]
-        with pytest.raises(UsageError, match="row b2 has 2 cells for 3 columns"):
-            table.with_added_columns(added, [(1.0, 1.0), (2.0,)])
+        with pytest.raises(UsageError, match="column 'z' has 1 cells for 2 rows"):
+            table.with_added_columns(added, [(1.0, 2.0), (1.0,)])
+
+
+    def test_rows_and_columns_build_the_same_table(self):
+        x, y = Column("x", ColumnKind.NUMERIC), Column("y", ColumnKind.CATEGORICAL)
+        rows = (Row(batch_key("b2"), (2.0, "a")), Row(batch_key("b1"), (1.0, "b")))
+        from_rows = Table(BATCH, [x, y], rows)
+        from_columns = Table.from_columns(
+            BATCH, (x, y), [batch_key("b2"), batch_key("b1")], [[2.0, 1.0], ("a", "b")]
+        )
+        assert from_rows == from_columns
+        assert from_rows.rows == from_columns.rows == rows
+        assert from_columns.keys == (batch_key("b2"), batch_key("b1"))
+        assert from_columns.cells == ((2.0, 1.0), ("a", "b"))
+        assert Table(BATCH, (x,), ()) == Table.from_columns(BATCH, (x,), (), [()])
+
+    def test_zero_column_table_keeps_its_rows(self):
+        keys = tuple(batch_key(f"b{i}") for i in range(3))
+        table = Table(BATCH, (), tuple(Row(key, ()) for key in keys))
+        assert len(table) == 3 and table.keys == keys and table.rows == tuple(Row(k, ()) for k in keys)
+        kept = table.filter_rows([True, False, True])
+        assert len(kept) == 2 and kept.keys == (keys[0], keys[2])
+        grown = table.with_added_columns([Column("x", ColumnKind.NUMERIC)], [(0.0, 1.0, 2.0)])
+        assert len(grown) == 3 and grown.keys == keys
+        assert grown.rows == tuple(Row(key, (float(i),)) for i, key in enumerate(keys))
+
+    def test_column_length_checked_on_the_column_path(self):
+        col = Column("x", ColumnKind.NUMERIC)
+        keys = (batch_key("b1"), batch_key("b2"))
+        with pytest.raises(UsageError, match="column 'x' has 1 cells for 2 rows"):
+            Table.from_columns(BATCH, (col,), keys, [(1.0,)])
+        with pytest.raises(UsageError, match="0 cell columns for 1 columns"):
+            Table.from_columns(BATCH, (col,), keys, [])
+        with pytest.raises(UsageError, match="is at WAFER, table is BATCH"):
+            Table.from_columns(BATCH, (), (wafer_key("b1", "w1"),), [])
 
 
 class TestLabeledDataset:
@@ -281,8 +315,9 @@ class TestGroupByAncestor:
             table = Table(SITE, (), rows)
             level = rng.choice([BATCH, WAFER])
             groups = group_by_ancestor(table, level)
-            regrouped = [row for group in groups.values() for row in group]
-            assert len(regrouped) == len(rows) and set(regrouped) == set(rows)  # union = rows, disjoint
+            regrouped = sorted(position for group in groups.values() for position in group)
+            assert regrouped == list(range(len(rows)))  # union = rows, disjoint
+            assert all(rows[p].key.ancestor(level) == key for key, group in groups.items() for p in group)
             assert list(groups) == sorted(
                 {r.key.ancestor(level) for r in rows}, key=lambda k: k.ids
             )

@@ -553,6 +553,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("holiday", ["1990-W52-2", "19901225"])
+    def test_holiday_that_is_not_yyyy_mm_dd_exits_one(self, tmp_path, capsys, holiday):
+        """A holiday reads as YYYY-MM-DD on every Python version: an ISO week
+        date or a date without dashes is a usage error on each of them."""
+        doc = base_config("out", n_batches=30)
+        doc["encodings"]["cyclical"]["holidays"] = [holiday]
+        with pytest.raises(UsageError, match=rf"^encodings\.cyclical: holidays \['{holiday}'\] is invalid: "):
+            config_from_dict(doc, tmp_path)
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: encodings.cyclical: holidays ['{holiday}'] is invalid: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_misspelled_exclude_exits_one(self, tmp_path, capsys):
         doc = base_config("out", n_batches=30)
         doc["features"]["exclude"] = ["oven_tmp"]
