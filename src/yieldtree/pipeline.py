@@ -36,7 +36,6 @@ from .ingest import (
     array,
     choice,
     instance,
-    integer,
     number,
     read_fields,
     read_json,
@@ -108,13 +107,13 @@ class EncodingSettings:
 
 
 @dataclass(frozen=True)
-class TargetDirective:
+class TargetDirective(targeting.TargetSpec):
     """One binary target: a column threshold or a per-problem rejection rule.
 
-    A problem target's spec.source_column is the rule's reject-rate column.
+    A problem target's source_column is the rule's reject-rate column.
     """
 
-    spec: targeting.TargetSpec
+    source_column: str | None = None
     name: str = "target"
     problem: lift.RejectionRule | None = None
     histogram_bins: int = targeting.DEFAULT_HISTOGRAM_BINS
@@ -122,15 +121,22 @@ class TargetDirective:
     def __post_init__(self) -> None:
         if not self.name or not all(c.isalnum() or c in "_-" for c in self.name):
             raise UsageError(f"target name {self.name!r} must be a file-name-safe token")
+        if (self.source_column is None) == (self.problem is None):
+            raise UsageError(f"target {self.name!r} needs exactly one of source_column or problem")
+        if self.histogram_bins < 1:
+            raise UsageError(f"target {self.name!r}: histogram_bins must be >= 1")
+        if self.problem is not None:
+            object.__setattr__(self, "source_column", self.problem.reject_rate_column())
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class TrainSettings:
-    config: TrainConfig = TrainConfig()
+class TrainSettings(TrainConfig):
     test_fraction: float = 0.0
     split_seed: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 <= self.test_fraction < 1.0:
             raise UsageError("test_fraction must be in [0, 1)")
 
@@ -158,11 +164,6 @@ class PipelineConfig:
             raise UsageError(f"target names must be unique, got {names}")
 
 
-def _take(fields: dict, *names: str) -> dict:
-    """Remove the named fields that are present from fields and return them."""
-    return {name: fields.pop(name) for name in names if name in fields}
-
-
 _LIFTS = {
     "stats": instance(StatsLift, "stats lift"),
     "reject_rate": instance(lift.RejectionRule, "reject_rate lift"),
@@ -184,37 +185,21 @@ def _read_csv_input(base_dir: Path, doc: Any) -> tuple[Path, TableSchema]:
 
 _SCREENS = instance(ScreenSettings, "screens")
 _ENCODINGS = instance(EncodingSettings, "encodings")
-_PROBLEM = instance(lift.RejectionRule, "target problem")
+_TARGET = instance(TargetDirective, "target")
+_TRAIN = instance(TrainSettings, "train")
 
 
 def _read_target(doc: Any) -> TargetDirective:
-    fields = read_fields(
-        doc, "target", name=text, source_column=text, problem=_PROBLEM,
-        strategy=choice(targeting.ThresholdStrategy), threshold=number, U=number, bins=integer,
-        direction=choice(lift.Direction), grey_half_width=number, histogram_bins=integer,
-    )
-    directive = _take(fields, "name", "problem", "histogram_bins")
-    problem = directive.get("problem")
-    if ("source_column" in fields) == (problem is not None):
-        name = directive.get("name", TargetDirective.name)
-        raise UsageError(f"target {name!r} needs exactly one of source_column or problem")
-    if problem is not None:
-        fields["source_column"] = problem.reject_rate_column()
-    if "U" in fields:
-        if "threshold" in fields:
-            name = directive.get("name", TargetDirective.name)
-            raise UsageError(f"target {name!r} gives both threshold and U; give one")
-        fields["threshold"] = fields.pop("U")
-    return TargetDirective(targeting.TargetSpec(**fields), **directive)
-
-
-def _read_train(doc: Any) -> TrainSettings:
-    fields = read_fields(
-        doc, "train", max_depth=integer, min_leaf=integer, min_gain=number,
-        test_fraction=number, split_seed=integer,
-    )
-    split = _take(fields, "test_fraction", "split_seed")
-    return TrainSettings(TrainConfig(**fields), **split)
+    """A target object; the paper's name U for the threshold is read as threshold."""
+    if isinstance(doc, dict) and "U" in doc:
+        doc = dict(doc)
+        u = read_fields({"U": doc.pop("U")}, "target", U=number)
+        if u:
+            if doc.get("threshold") is not None:
+                name = doc.get("name") or TargetDirective.name
+                raise UsageError(f"target {name!r} gives both threshold and U; give one")
+            doc["threshold"] = u["U"]
+    return _TARGET(doc)
 
 
 def config_from_dict(doc: dict, base_dir: str | Path = ".") -> PipelineConfig:
@@ -229,7 +214,7 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> PipelineConfig:
         doc, "config",
         input=lambda d: read_fields(d, "input", scenario=synthfab.scenario_from_dict, csv=csv),
         screens=_SCREENS, lifts=array(_read_lift), encodings=_ENCODINGS,
-        targets=array(_read_target), target=_read_target, train=_read_train,
+        targets=array(_read_target), target=_read_target, train=_TRAIN,
         features=lambda d: read_fields(d, "features", exclude=array(text)),
         outputs=lambda d: read_fields(d, "outputs", dir=text),
     )
@@ -277,10 +262,17 @@ class RunResult:
 def _screen_dataset(
     dataset: HierarchicalDataset, settings: ScreenSettings
 ) -> tuple[HierarchicalDataset, dict]:
+    """Each table screened, coarse to fine, and pruned of the rows whose
+    parent row was dropped: a dropped ancestor takes its descendants with it.
+
+    The dataset must have passed `validate_hierarchy`, which proves every
+    parent present, so a table below an unshrunk parent table is not checked.
+    """
     stats: dict[str, dict[str, int]] = {"missing_dropped": {}, "limit_dropped": {}, "orphans_pruned": {}}
     flags = 0
     tables: dict[GranularityLevel, Table] = {}
-    for level in dataset.levels:
+    levels = dataset.levels
+    for parent, level in zip((None, *levels), levels):
         table = dataset.tables[level]
         if settings.drop_missing:
             table, dropped = ingest.drop_missing(table)
@@ -289,16 +281,14 @@ def _screen_dataset(
             table, flagged = ingest.apply_sensor_limits(table)
             stats["limit_dropped"][level.name.lower()] = len({f[0] for f in flagged})
             flags += len(flagged)
+        if parent is not None:
+            keep = ()
+            if len(tables[parent]) < len(dataset.tables[parent]):
+                parent_keys = set(tables[parent].keys)
+                keep = [key[: parent + 1] in parent_keys for key in table.keys]
+                table = table.filter_rows(keep)
+            stats["orphans_pruned"][level.name.lower()] = len(keep) - sum(keep)
         tables[level] = table
-
-    # cascade: a dropped ancestor takes its descendants with it
-    levels = sorted(tables)
-    for parent_level, level in zip(levels, levels[1:]):
-        parents = set(tables[parent_level].keys)
-        depth = parent_level + 1
-        keep = [key[:depth] in parents for key in tables[level].keys]
-        stats["orphans_pruned"][level.name.lower()] = len(keep) - sum(keep)
-        tables[level] = tables[level].filter_rows(keep)
 
     stats["limit_flags"] = flags
     return HierarchicalDataset(tables), stats
@@ -433,7 +423,7 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
     lifted_rules = {d for d in config.lifts if isinstance(d, lift.RejectionRule)}
     target_values = []
     for t in config.targets:
-        source = t.spec.source_column
+        source = t.source_column
         if t.problem is not None and t.problem not in lifted_rules:
             values = lift.lift_reject_rate(dataset, t.problem).values(source)
         elif not analysis.has_column(source):
@@ -447,13 +437,13 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
                 raise DataError(f"target {t.name!r}: {source!r} is missing for batch {gap}")
         histogram_report = targeting.histogram(values, t.histogram_bins)
         try:
-            threshold = t.spec.resolve_threshold(values)
+            threshold = t.resolve_threshold(values)
         except NoValleyError:
             if not report_only:
                 raise
             threshold = None
         target_values.append((values, histogram_report, threshold))
-    source_columns = {t.spec.source_column for t in config.targets}
+    source_columns = {t.source_column for t in config.targets}
     shielded = source_columns | set(config.feature_excludes)
     feature_table = analysis.without_columns(
         [name for name in analysis.column_names if name in shielded]
@@ -525,15 +515,14 @@ def _fit_target(
     """The target's result and its holdout evaluation, if it has a holdout."""
     if report_only:
         return TargetResult(threshold, 0, None, None, [], None), None
-    spec = directive.spec
     labeled, grey_deleted = targeting.apply_grey_region(
-        feature_table, values, threshold, spec.grey_half_width, spec.direction
+        feature_table, values, threshold, directive.grey_half_width, directive.direction
     )
 
     seed = derive_seed(train_settings.split_seed, directive.name)
     held_out = _holdout_mask(len(labeled), train_settings.test_fraction, seed)
     train_set = labeled.filter_rows([not h for h in held_out]) if any(held_out) else labeled
-    tree = train(train_set, train_settings.config)
+    tree = train(train_set, train_settings)
     evaluation = None
     if any(held_out):
         report = evaluate(tree, labeled.filter_rows(held_out))
@@ -554,7 +543,7 @@ def _write_target(
 ) -> dict:
     """Write the target's artifacts and return its manifest entry."""
     result, evaluation = fit
-    name, spec = directive.name, directive.spec
+    name = directive.name
     artifacts = {"histogram": f"{name}_histogram.csv"}
     targeting.write_histogram_csv(histogram_report, output_dir / artifacts["histogram"])
     if times is not None:
@@ -567,9 +556,9 @@ def _write_target(
         write_json(result.tree.to_dict(), output_dir / artifacts["tree"])
     labeled = result.labeled
     return {
-        "name": name, "source": spec.source_column, "strategy": spec.strategy.value,
-        "direction": spec.direction.value, "threshold": result.threshold,
-        "grey_half_width": spec.grey_half_width, "grey_deleted": result.grey_deleted,
+        "name": name, "source": directive.source_column, "strategy": directive.strategy.value,
+        "direction": directive.direction.value, "threshold": result.threshold,
+        "grey_half_width": directive.grey_half_width, "grey_deleted": result.grey_deleted,
         "labeled": None if labeled is None else {"rows": len(labeled), "positive": labeled.positives},
         "evaluation": evaluation, "rules": len(result.rules), "artifacts": artifacts,
     }

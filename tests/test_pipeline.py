@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import json
 import re
@@ -14,7 +15,8 @@ from yieldtree.cli import main
 from yieldtree.errors import AnalysisError, DataError, UsageError
 from yieldtree.model import Column, ColumnKind, Table
 from yieldtree.pipeline import (
-    ScreenSettings, StatsLift, _screen_dataset, config_from_dict, run_pipeline,
+    ScreenSettings, StatsLift, TargetDirective, TrainSettings, _screen_dataset, config_from_dict,
+    run_pipeline,
 )
 from yieldtree.synthfab import scenario_from_dict
 
@@ -47,6 +49,8 @@ BAD_TARGETS = [
     ({"name": "t", "source_column": None, "problem": None}, EXACTLY_ONE),
     ({"name": "no/slash", "source_column": "yield"}, "file-name-safe"),
     ({"name": "", "source_column": "yield"}, "file-name-safe"),
+    ({"name": "t", "source_column": "yield", "histogram_bins": 0}, "'t': histogram_bins must be >= 1"),
+    ({"name": "t", "source_column": "yield", "histogram_bins": -3}, "'t': histogram_bins must be >= 1"),
 ]
 
 # Target fields the chosen strategy does not read: each one is a usage error.
@@ -93,6 +97,10 @@ BAD_FIELDS = [
     pytest.param(lambda d: d["targets"][0].update(direction="sideways"), "direction", id="unknown-direction"),
     pytest.param(lambda d: d["lifts"].append({"method": "stats", "parameter": "x", "to_level": "wafer"}),
                  "to_level", id="lift-below-the-batch-level"),
+    pytest.param(lambda d: d["targets"].append({"name": "p", "problem": dict(X_RULE, threshold="ten")}),
+                 r"^target\.problem: threshold 'ten' is invalid", id="problem-threshold-not-a-number"),
+    pytest.param(lambda d: d["targets"][0].update(strategy="fixed", U="ninety"),
+                 r"^target: U 'ninety' is invalid", id="U-not-a-number"),
 ]
 
 # One unknown field in every object of the scenario config and the CSV config.
@@ -213,8 +221,8 @@ class TestConfigValidation:
         doc["targets"] = [{"name": "p", "source_column": None, "problem": X_RULE},
                           {"name": "s", "source_column": "yield", "problem": None}]
         problem, source = config_from_dict(doc, tmp_path).targets
-        assert problem.spec.source_column == "x_reject_pct" and problem.problem is not None
-        assert source.spec.source_column == "yield" and source.problem is None
+        assert problem.source_column == "x_reject_pct" and problem.problem is not None
+        assert source.source_column == "yield" and source.problem is None
 
 
 class TestFieldReader:
@@ -223,6 +231,19 @@ class TestFieldReader:
         doc = base_config(tmp_path / "out")
         edit(doc)
         with pytest.raises(UsageError, match=field):
+            config_from_dict(doc, tmp_path)
+
+    @pytest.mark.parametrize("where, field", [
+        *(("target", f.name) for f in dataclasses.fields(TargetDirective)),
+        *(("train", f.name) for f in dataclasses.fields(TrainSettings)),
+    ])
+    def test_every_target_and_train_field_is_read_by_its_type(self, tmp_path, where, field):
+        doc = base_config(tmp_path / "out")
+        obj = doc["targets"][0] if where == "target" else doc["train"]
+        obj[field] = []
+        # a scalar field names itself and the array; an object field is named <parent>.<field>
+        message = rf"^{where}(: {field} \[\] is invalid|\.{field} must be a JSON object)"
+        with pytest.raises(UsageError, match=message):
             config_from_dict(doc, tmp_path)
 
     def test_bad_scenario_field_is_usage_error(self):
@@ -277,9 +298,9 @@ class TestFieldReader:
         doc["input"]["scenario"]["wafers_per_batch"] = None
         doc["screens"] = {"drop_missing": None, "correlation": None}
         config = config_from_dict(doc, tmp_path)
-        assert config.train.config.max_depth == 5
+        assert config.train.max_depth == 5
         assert config.lifts[0].min_count == 2
-        assert config.targets[0].spec.direction.value == "below"
+        assert config.targets[0].direction.value == "below"
         assert config.scenario.wafers_per_batch == 24
         assert config.screens.drop_missing and config.screens.correlation.enabled
 
@@ -288,9 +309,9 @@ class TestFieldReader:
         doc["targets"] = [{"name": "t", "source_column": "yield", "strategy": "fixed", "U": 90}]
         doc["train"] = {}
         config = config_from_dict(doc, tmp_path)
-        assert config.targets[0].spec.threshold == 90.0
-        assert isinstance(config.targets[0].spec.threshold, float)
-        assert config.train.config.min_gain == 1e-6
+        assert config.targets[0].threshold == 90.0
+        assert isinstance(config.targets[0].threshold, float)
+        assert config.train.min_gain == 1e-6
         assert config.output_dir == tmp_path / "out"
 
     def test_readme_examples_parse(self, tmp_path):
