@@ -24,16 +24,6 @@ EXIT_DATA = 2
 EXIT_ANALYSIS = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad arguments, but this tool
-    reserves 2 for data errors; usage problems must exit 1 instead."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     scenario = scenario_from_dict(read_json(Path(args.scenario), "scenario"))
     dataset = generate(scenario)
@@ -69,7 +59,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="yieldtree",
         description="Rejection-cause rule mining for multi-granularity fab data.",
     )
@@ -92,12 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad arguments; 2 is for data errors here
+        return EXIT_USAGE if exc.code else EXIT_OK
+    try:
         return args.run(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

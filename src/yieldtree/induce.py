@@ -157,6 +157,7 @@ def _best_split(
     columns: Sequence[Column],
     column_values: Mapping[str, list[Any]],
     rows: Sequence[int],
+    n1: int,
     sorted_rows: Mapping[str, list[int]],
     labels: Sequence[int],
     min_leaf: int,
@@ -166,10 +167,10 @@ def _best_split(
     Candidate order is schema column order, then ascending threshold for
     numeric columns and lexicographic category for categorical ones. A
     numeric column is scanned through sorted_rows, the node's rows in
-    ascending value order with ties in ascending row index.
+    ascending value order with ties in ascending row index. n1 is the
+    node's count of class-1 rows.
     """
     n = len(rows)
-    n1 = sum(labels[i] for i in rows)
     parent = _gini(n - n1, n1)
     floor = max(min_leaf, 1)  # an empty child is never a meaningful split
     last = n - floor
@@ -279,7 +280,7 @@ def _build(
     counts = (len(rows) - n1, n1)
     if n1 in (0, len(rows)) or depth >= config.max_depth or len(rows) < 2 * config.min_leaf:
         return TreeNode(counts, depth)
-    found = _best_split(columns, column_values, rows, sorted_rows, labels, config.min_leaf)
+    found = _best_split(columns, column_values, rows, n1, sorted_rows, labels, config.min_leaf)
     if found is None or found[0] < config.min_gain:
         return TreeNode(counts, depth)
     gain, test = found

@@ -41,15 +41,6 @@ TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "na", "?"})
 
-# Canonical CSV file name per level, used by export and the CLI.
-LEVEL_FILENAMES = {
-    GranularityLevel.BATCH: "batch.csv",
-    GranularityLevel.WAFER: "wafer.csv",
-    GranularityLevel.SITE: "site.csv",
-    GranularityLevel.IC: "ic.csv",
-}
-
-
 @dataclass(frozen=True)
 class TableSchema:
     """How to read one per-level CSV: key columns, data columns, missing tokens."""
@@ -407,8 +398,13 @@ def write_table(table: Table, path: str | Path) -> None:
     """Write a table as CSV: canonical key columns first, then data columns.
 
     Numeric cells use shortest round-trip float formatting so that
-    export -> load reproduces identical values.
+    export -> load reproduces identical values. An empty text cell would
+    read back as missing, so it is a UsageError.
     """
+    for c, cells in zip(table.columns, table.cells):
+        if c.kind in (ColumnKind.CATEGORICAL, ColumnKind.IDENTIFIER) and "" in cells:
+            key = table.keys[cells.index("")]
+            raise UsageError(f"empty {c.name!r} cell in row {key} would read back as missing")
     texts = (map(_format_cell, cells, repeat(c)) for c, cells in zip(table.columns, table.cells))
     write_csv(
         path,
@@ -419,8 +415,7 @@ def write_table(table: Table, path: str | Path) -> None:
 
 def table_schema(table: Table) -> TableSchema:
     """Schema that reads back a CSV produced by write_table for this table. Its
-    one missing token is "", the only one write_table writes, so an empty text
-    cell reads back as missing."""
+    one missing token is "", which write_table writes only for a missing cell."""
     return TableSchema(table.level, table.level.key_fields, table.columns, {""})
 
 
@@ -436,7 +431,7 @@ def write_dataset(dataset: HierarchicalDataset, directory: str | Path) -> dict[G
     """Write every level's table to <directory>/<level>.csv."""
     directory = Path(directory)
     make_output_dir(directory)
-    written = {level: directory / LEVEL_FILENAMES[level] for level in dataset.levels}
+    written = {level: directory / f"{level.name.lower()}.csv" for level in dataset.levels}
     for level, path in written.items():
         write_table(dataset.tables[level], path)
     return written
@@ -445,6 +440,4 @@ def write_dataset(dataset: HierarchicalDataset, directory: str | Path) -> dict[G
 def read_dataset(directory: str | Path, schemas: list[TableSchema]) -> HierarchicalDataset:
     """Load a dataset previously written by write_dataset."""
     directory = Path(directory)
-    return load_dataset(
-        [(directory / LEVEL_FILENAMES[s.level], s) for s in schemas]
-    )
+    return load_dataset([(directory / f"{s.level.name.lower()}.csv", s) for s in schemas])

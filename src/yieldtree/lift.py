@@ -73,6 +73,11 @@ class RejectionRule:
 STAT_SUFFIXES = ("mean", "std", "median", "min", "max")
 
 
+def stats_columns(parameter: str) -> tuple[str, ...]:
+    """Names of the columns a stats lift of `parameter` adds, one per stat."""
+    return tuple(f"{parameter}_{suffix}" for suffix in STAT_SUFFIXES)
+
+
 def mean(values: Sequence[float]) -> float:
     """fsum(values) / n. Where the sum overflows, each value is first scaled
     by 2**-bits, with 2**bits > n, so the sum of n finite values is finite;
@@ -155,7 +160,7 @@ def lift_stats(
         if not values:
             raise DataError(f"no {parameter!r} measurements under {to_level.name} entity {key}")
         stats.append(_group_stats(values))
-    columns = [Column(f"{parameter}_{suffix}", ColumnKind.NUMERIC) for suffix in STAT_SUFFIXES]
+    columns = [Column(name, ColumnKind.NUMERIC) for name in stats_columns(parameter)]
     return Table.from_columns(to_level, columns, keys, list(zip(*stats)) or [()] * len(columns))
 
 

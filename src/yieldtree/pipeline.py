@@ -80,6 +80,8 @@ class StatsLift:
     def __post_init__(self) -> None:
         if self.to_level is not GranularityLevel.BATCH:
             raise UsageError("stats lift to_level must be batch: lifts join the batch-level table")
+        if self.from_level is GranularityLevel.BATCH:
+            raise UsageError("stats lift from_level must be finer than batch")
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,13 @@ class PipelineConfig:
         names = [t.name for t in self.targets]
         if len(set(names)) != len(names):
             raise UsageError(f"target names must be unique, got {names}")
+        added: list[str] = []  # a problem target's rule is never joined, so not counted
+        for d in self.lifts:
+            stats = isinstance(d, StatsLift)
+            added += lift.stats_columns(d.parameter) if stats else [d.reject_rate_column()]
+        clash = sorted({name for name in added if added.count(name) > 1})
+        if clash:
+            raise UsageError(f"two lifts add the same columns: {clash}")
 
 
 _LIFTS = {

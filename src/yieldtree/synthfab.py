@@ -347,12 +347,8 @@ def _effect_from_dict(doc: Any) -> PlantedEffect:
     return read(fields)
 
 
-_SCENARIO = instance(FabScenario, "scenario", effects=array(_effect_from_dict))
-
-
-def scenario_from_dict(doc: Any) -> FabScenario:
-    """Parse a scenario from its JSON form (timestamps as format strings)."""
-    return _SCENARIO(doc)
+# Reads a scenario from its JSON form (timestamps as format strings).
+scenario_from_dict = instance(FabScenario, "scenario", effects=array(_effect_from_dict))
 
 
 def scenario_to_dict(scenario: FabScenario) -> dict:

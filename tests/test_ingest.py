@@ -312,6 +312,15 @@ class TestRoundTrip:
         write_table(table, path)
         assert load_table(path, table_schema(table)) == table
 
+    @pytest.mark.parametrize("kind", [ColumnKind.CATEGORICAL, ColumnKind.IDENTIFIER], ids=lambda kind: kind.name.lower())
+    def test_empty_text_cell_is_refused(self, tmp_path, kind):
+        rows = (Row(batch_key("b1"), ("3",)), Row(batch_key("b2"), ("",)))
+        table = Table(BATCH, (Column("machine", kind),), rows)
+        path = tmp_path / "batch.csv"
+        with pytest.raises(UsageError, match="empty 'machine' cell in row b2 would read back as missing"):
+            write_table(table, path)
+        assert not path.exists()
+
     def test_default_missing_tokens(self):
         assert DEFAULT_MISSING_TOKENS == frozenset({"", "NA", "na", "?"})
 

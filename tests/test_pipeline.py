@@ -216,6 +216,36 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="to_level"):
             StatsLift("x", to_level=WAFER)
 
+    def test_stats_lift_from_the_batch_level_fails_at_load(self, tmp_path, capsys):
+        doc = base_config("out")
+        doc["lifts"].append({"method": "stats", "parameter": "x", "from_level": "batch"})
+        with pytest.raises(UsageError, match="from_level must be finer than batch"):
+            config_from_dict(doc, tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: stats lift from_level must be finer than batch\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lifts, columns", [
+        pytest.param([{"method": "reject_rate", "parameter": "x", "threshold": 10.0},
+                      {"method": "reject_rate", "parameter": "x", "threshold": 12.0}],
+                     "['x_reject_pct']", id="reject-rate"),
+        pytest.param([{"method": "stats", "parameter": "x"}, {"method": "stats", "parameter": "x"}],
+                     "['x_max', 'x_mean', 'x_median', 'x_min', 'x_std']", id="stats"),
+    ])
+    def test_two_lifts_adding_one_column_fail_at_load(self, tmp_path, lifts, columns):
+        doc = base_config(tmp_path / "out")
+        doc["lifts"] = lifts
+        with pytest.raises(UsageError, match=re.escape(f"two lifts add the same columns: {columns}")):
+            config_from_dict(doc, tmp_path)
+
+    def test_problem_rule_beside_a_lift_of_its_column_is_not_a_second_lift(self, tmp_path):
+        doc = base_config(tmp_path / "out")
+        doc["targets"].append({"name": "p", "problem": {**X_RULE, "threshold": 12.0}})
+        lifted, problem = config_from_dict(doc, tmp_path).targets
+        assert lifted.source_column == problem.source_column == "x_reject_pct"
+
     def test_null_source_beside_a_problem_is_absent(self, tmp_path):
         doc = base_config(tmp_path / "out")
         doc["targets"] = [{"name": "p", "source_column": None, "problem": X_RULE},
@@ -690,6 +720,15 @@ class TestExitCodes:
     def test_bad_cli_arguments_exit_one(self, capsys):
         assert main(["analyze"]) == 1
         assert main(["not-a-command"]) == 1
+
+    def test_help_exits_zero_and_a_missing_argument_prints_one_error(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: yieldtree ")
+        assert main(["analyze"]) == 1
+        assert capsys.readouterr().err == (
+            "usage: yieldtree analyze [-h] --config CONFIG\n"
+            "yieldtree analyze: error: the following arguments are required: --config\n"
+        )
 
     @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_no_batch_left_after_the_screens_exits_three(self, tmp_path, capsys, command):
