@@ -64,9 +64,13 @@ class TableSchema:
             raise UsageError("key column names must be nonempty")
         if not self.missing_tokens:
             raise UsageError("missing-value token set must be nonempty")
-        clash = set(self.key_columns) & {c.name for c in self.columns}
+        names = [c.name for c in self.columns]
+        clash = set(self.key_columns) & set(names)
         if clash:
             raise UsageError(f"key columns redeclared as data columns: {sorted(clash)}")
+        twice = sorted({name for name in names if names.count(name) > 1})
+        if twice:
+            raise UsageError(f"columns declared twice: {twice}")
 
 
 def parse_timestamp(text: str) -> datetime:

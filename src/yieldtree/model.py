@@ -6,7 +6,8 @@ tuple of row keys and one tuple of cells per column. The package builds
 every table from columns; `Row` and `Table.rows` are the row view for
 library callers. Values are immutable after construction; every operation
 returns new objects. Columns are appended in one place,
-`Table.with_added_columns`, which `join_tables` and the encoders call.
+`Table.with_added_columns`, which `join_tables` and the encoders call. A
+missing cell is `None`, which every layer reads by the name `MISSING`.
 """
 
 from __future__ import annotations
@@ -40,24 +41,7 @@ class GranularityLevel(IntEnum):
 _KEY_FIELDS = ("batch_id", "wafer_id", "site_id", "ic_id")
 
 
-class _Missing:
-    """Singleton marker for an absent cell value; distinct from any value."""
-
-    _instance: "_Missing | None" = None
-
-    def __new__(cls) -> "_Missing":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "MISSING"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-MISSING = _Missing()
+MISSING = None
 
 
 class ColumnKind(IntEnum):

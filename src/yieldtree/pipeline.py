@@ -143,6 +143,10 @@ class TrainSettings(TrainConfig):
             raise UsageError("test_fraction must be in [0, 1)")
 
 
+_ENCODED_COLUMNS = {"cyclical": feats.CYCLICAL_COLUMNS, "sequential": (feats.SEQUENTIAL_COLUMN,),
+                    "batch_order": (feats.BATCH_ORDER_COLUMN,)}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     scenario: synthfab.FabScenario | None
@@ -164,13 +168,21 @@ class PipelineConfig:
         names = [t.name for t in self.targets]
         if len(set(names)) != len(names):
             raise UsageError(f"target names must be unique, got {names}")
-        added: list[str] = []  # a problem target's rule is never joined, so not counted
+        # what adds each batch-table column; a problem target's rule is never joined
+        adders = [([c.name for c in schema.columns], f"the batch CSV {path.name}")
+                  for path, schema in self.csv_inputs if schema.level is GranularityLevel.BATCH]
         for d in self.lifts:
             stats = isinstance(d, StatsLift)
-            added += lift.stats_columns(d.parameter) if stats else [d.reject_rate_column()]
-        clash = sorted({name for name in added if added.count(name) > 1})
-        if clash:
-            raise UsageError(f"two lifts add the same columns: {clash}")
+            names = lift.stats_columns(d.parameter) if stats else [d.reject_rate_column()]
+            adders.append((names, f"the {'stats' if stats else 'reject_rate'} lift of {d.parameter!r}"))
+        adders += [(names, f"the {method} encoding") for method, names in _ENCODED_COLUMNS.items()
+                   if getattr(self.encodings, method)]
+        added: dict[str, str] = {}
+        for names, source in adders:
+            for name in names:
+                if name in added:
+                    raise UsageError(f"column {name!r} is added by {added[name]} and by {source}")
+                added[name] = source
 
 
 _LIFTS = {
@@ -324,20 +336,17 @@ def _apply_lifts(
 def _apply_encodings(
     analysis: Table, settings: EncodingSettings
 ) -> tuple[Table, feats.TimeEncodingSpec | None, dict]:
-    meta: dict[str, list[str]] = {}
     if settings.cyclical:
         analysis = feats.encode_cyclical(
             analysis, settings.cyclical.time_column, settings.cyclical.holidays
         )
-        meta["cyclical"] = list(feats.CYCLICAL_COLUMNS)
     spec = None
     if settings.sequential:
         spec = feats.TimeEncodingSpec(feats.TimeMode.SEQUENTIAL, epoch=settings.sequential.epoch)
         analysis = feats.encode_sequential(analysis, settings.sequential.time_column, spec)
-        meta["sequential"] = [feats.SEQUENTIAL_COLUMN]
     if settings.batch_order:
         analysis = feats.order_from_batch_id(analysis, settings.batch_order.id_column)
-        meta["batch_order"] = [feats.BATCH_ORDER_COLUMN]
+    meta = {method: list(names) for method, names in _ENCODED_COLUMNS.items() if getattr(settings, method)}
     return analysis, spec, meta
 
 

@@ -88,6 +88,11 @@ class TestTrain:
         with pytest.raises(DataError):
             train(numeric_dataset([1.0, MISSING], [0, 1]), LOOSE)
 
+    def test_none_category_is_a_missing_cell(self):
+        data = make_dataset([("c", CAT)], [("a",), (None,), ("b",)], [0, 1, 0])
+        with pytest.raises(DataError, match="missing cell in column 'c' at row 1; run the screens"):
+            train(data, LOOSE)
+
     def test_max_depth_one_yields_at_most_one_split(self):
         data = numeric_dataset([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1])
         tree = train(data, TrainConfig(max_depth=1, min_leaf=1, min_gain=0.0))

@@ -133,7 +133,8 @@ def analyze_batch_csv(tmp_path, data: bytes) -> int:
 
 class TestUnreadableInput:
     """Bytes that are not UTF-8, or a record the CSV reader cannot split,
-    are bad data: a ParseError naming the file and the reader's line."""
+    are bad data: a ParseError naming the file and the reader's line. A file
+    without a header row is bad data too."""
 
     def test_undecodable_byte_is_parse_error(self, tmp_path, batch_schema):
         path = tmp_path / "t.csv"
@@ -163,8 +164,9 @@ class TestUnreadableInput:
         [
             (b"batch_id,yield\nb1,95\nb2,8\xff0\n", "batch.csv: byte b'\\xff' on line 1"),
             (b"batch_id,yield\nb1,95\nb2," + b"9" * 200_000 + b"\n", "batch.csv: line 3: field larger"),
+            (b"", "batch.csv: file has no header row"),
         ],
-        ids=["undecodable", "oversized"],
+        ids=["undecodable", "oversized", "empty"],
     )
     def test_cli_exits_with_data_error(self, tmp_path, capsys, data, message):
         assert analyze_batch_csv(tmp_path, data) == 2
@@ -227,6 +229,11 @@ class TestDropMissing:
         kept, dropped = drop_missing(numeric_table(BATCH, "x", entries))
         assert (len(kept), dropped) == (7, 3)
 
+    def test_none_cell_is_missing(self):
+        entries = [(batch_key("b0"), 1.0), (batch_key("b1"), None), (batch_key("b2"), 3.0)]
+        kept, dropped = drop_missing(numeric_table(BATCH, "x", entries))
+        assert dropped == 1 and kept.values("x") == [1.0, 3.0]
+
     def test_idempotent_and_conserving(self):
         table = table_with_missing()
         kept, dropped = drop_missing(table)
@@ -265,6 +272,11 @@ class TestSensorLimits:
         assert [r.key.batch_id for r in kept.rows] == ["b0", "b1"]
         assert flagged == [(batch_key("b2"), "x", 150.0)]
 
+    def test_none_limited_cell_is_passed_over(self):
+        kept, flagged = apply_sensor_limits(self._table([None, 150.0]))
+        assert kept.keys == (batch_key("b0"),)
+        assert flagged == [(batch_key("b1"), "x", 150.0)]
+
     def test_flags_in_row_order_then_column_order(self):
         columns = (
             Column("y", ColumnKind.NUMERIC, sensor_limits=(0.0, 1.0)),
@@ -301,6 +313,18 @@ class TestRoundTrip:
         table = Table(BATCH, columns, rows)
         path = tmp_path / "batch.csv"
         write_table(table, path)
+        assert load_table(path, table_schema(table)) == table
+
+    def test_none_cells_are_written_empty_and_read_back_missing(self, tmp_path):
+        columns = tuple(Column(kind.name.lower(), kind) for kind in ColumnKind)
+        rows = (
+            Row(batch_key("b1"), (1.5, "m3", datetime(1990, 1, 1, 8, 0), "L7")),
+            Row(batch_key("b2"), (None, None, None, None)),
+        )
+        table = Table(BATCH, columns, rows)
+        path = tmp_path / "batch.csv"
+        write_table(table, path)
+        assert path.read_text(encoding="utf-8").splitlines()[2] == "b2,,,,"
         assert load_table(path, table_schema(table)) == table
 
     def test_text_cells_equal_to_default_tokens_round_trip(self, tmp_path):

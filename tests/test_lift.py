@@ -50,6 +50,10 @@ class TestLiftStats:
         assert std == pytest.approx(1.5811388300841898, abs=0.0)
         assert (mean, std, median, lo, hi) == pytest.approx(stats_oracle(values))
 
+    def test_none_value_is_left_out(self):
+        with_none = lift_stats(one_batch_dataset([1.0, None, 4.0]), "x", SITE, BATCH)
+        assert with_none == lift_stats(one_batch_dataset([1.0, 4.0]), "x", SITE, BATCH)
+
     def test_10_batches_of_120_measurements_give_10_vectors(self):
         nest = {
             f"b{b:02d}": {f"w{w:02d}": [float(b + w + s) for s in range(5)] for w in range(24)}

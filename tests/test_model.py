@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import BATCH, IC, SITE, WAFER, batch_key, site_key, wafer_key
+import yieldtree
 from yieldtree.errors import UsageError
 from yieldtree.model import (
     Column,
@@ -19,6 +20,10 @@ from yieldtree.model import (
     join_tables,
     validate_hierarchy,
 )
+
+
+def test_a_missing_cell_is_none():
+    assert yieldtree.MISSING is None
 
 
 def test_levels_totally_ordered_coarse_to_fine():

@@ -51,6 +51,10 @@ BAD_TARGETS = [
     ({"name": "", "source_column": "yield"}, "file-name-safe"),
     ({"name": "t", "source_column": "yield", "histogram_bins": 0}, "'t': histogram_bins must be >= 1"),
     ({"name": "t", "source_column": "yield", "histogram_bins": -3}, "'t': histogram_bins must be >= 1"),
+    ({"name": "t", "source_column": "yield", "strategy": "fixed"}, "fixed strategy needs a finite threshold"),
+    ({"name": "t", "source_column": "yield", "strategy": "valley"}, "valley strategy needs bins >= 3"),
+    ({"name": "t", "source_column": "yield", "strategy": "valley", "bins": 2}, "valley strategy needs bins >= 3"),
+    ({"name": "t", "source_column": "yield", "grey_half_width": -1.0}, "grey_half_width must be >= 0"),
 ]
 
 # Target fields the chosen strategy does not read: each one is a usage error.
@@ -74,8 +78,9 @@ def unread_target(fields):
 
 
 # Edits of base_config() that must fail as a usage error naming the field:
-# wrong JSON types, numbers a float cannot hold, misspelled fields and names
-# outside an enum. `"max_depth": null` is not among them: null reads as absent.
+# wrong JSON types, numbers a float cannot hold, values outside a field's
+# range, misspelled fields and names outside an enum. `"max_depth": null` is
+# not among them: null reads as absent.
 BAD_FIELDS = [
     pytest.param(lambda d: d["targets"][0].update(strategy="fixed", threshold="ninety"),
                  "threshold", id="threshold-not-a-number"),
@@ -101,6 +106,47 @@ BAD_FIELDS = [
                  r"^target\.problem: threshold 'ten' is invalid", id="problem-threshold-not-a-number"),
     pytest.param(lambda d: d["targets"][0].update(strategy="fixed", U="ninety"),
                  r"^target: U 'ninety' is invalid", id="U-not-a-number"),
+    pytest.param(lambda d: d["train"].update(test_fraction=1.0), "test_fraction", id="test_fraction-1"),
+    pytest.param(lambda d: d["train"].update(min_leaf=-1), "min_leaf", id="negative-min_leaf"),
+    pytest.param(lambda d: d["train"].update(min_gain=-0.5), "min_gain", id="negative-min_gain"),
+    pytest.param(lambda d: d["input"]["scenario"].update(ics_per_wafer=-1),
+                 "ics_per_wafer must be >= 0", id="negative-ics_per_wafer"),
+    pytest.param(lambda d: d["input"]["scenario"].update(base_reject_prob=1.5),
+                 "base_reject_prob must be in", id="base_reject_prob-above-1"),
+    pytest.param(lambda d: d["input"]["scenario"].update(batch_interval_minutes=0),
+                 "batch_interval_minutes must be >= 1", id="batch_interval_minutes-0"),
+    pytest.param(lambda d: d.update(lifts=[5]), "lift must be a JSON object", id="lift-not-an-object"),
+]
+
+# Edits of csv_config() that must fail at load with this usage error.
+BAD_CSV_INPUTS = [
+    pytest.param(lambda d: d[0].update(key_columns=["batch_id", "wafer_id"]),
+                 "BATCH schema needs 1 key columns, got 2", id="two-batch-key-columns"),
+    pytest.param(lambda d: d[1].update(key_columns=["batch_id", ""]),
+                 "key column names must be nonempty", id="empty-key-column-name"),
+    pytest.param(lambda d: d[1].update(missing_tokens=[]),
+                 "missing-value token set must be nonempty", id="no-missing-tokens"),
+    pytest.param(lambda d: d[1]["columns"].append({"name": "wafer_id", "kind": "identifier"}),
+                 "key columns redeclared as data columns: ['wafer_id']", id="key-column-redeclared"),
+    pytest.param(lambda d: d[2]["columns"].append({"name": "", "kind": "numeric"}),
+                 "column name must be nonempty", id="empty-column-name"),
+    pytest.param(lambda d: d[2]["columns"].append({"name": "x", "kind": "numeric"}),
+                 "columns declared twice: ['x']", id="column-declared-twice"),
+]
+
+# Edits of base_config() that load but fail while the run builds the analysis table.
+BAD_RUNS = [
+    pytest.param(lambda d: d["encodings"]["cyclical"].update(time_column="machine"),
+                 "column 'machine' is not a timestamp", id="cyclical-not-a-timestamp"),
+    pytest.param(lambda d: d["encodings"]["sequential"].update(time_column="oven_temp"),
+                 "column 'oven_temp' is not a timestamp", id="sequential-not-a-timestamp"),
+    pytest.param(lambda d: d["encodings"].update(batch_order={"id_column": "machine"}),
+                 "column 'machine' is not identifier-kind", id="batch_order-on-categorical"),
+    pytest.param(lambda d: d["encodings"].update(batch_order={"id_column": "lot"}),
+                 "'lot' is neither an identifier column nor a key field of the BATCH table",
+                 id="batch_order-unknown-name"),
+    pytest.param(lambda d: d["lifts"].append({"method": "stats", "parameter": "x", "from_level": "ic"}),
+                 "dataset has no IC table", id="stats-lift-from-absent-ics"),
 ]
 
 # One unknown field in every object of the scenario config and the CSV config.
@@ -227,17 +273,48 @@ class TestConfigValidation:
         assert capsys.readouterr().err == "error: stats lift from_level must be finer than batch\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("lifts, columns", [
+    @pytest.mark.parametrize("lifts, message", [
         pytest.param([{"method": "reject_rate", "parameter": "x", "threshold": 10.0},
                       {"method": "reject_rate", "parameter": "x", "threshold": 12.0}],
-                     "['x_reject_pct']", id="reject-rate"),
+                     "column 'x_reject_pct' is added by the reject_rate lift of 'x' "
+                     "and by the reject_rate lift of 'x'", id="reject-rate"),
         pytest.param([{"method": "stats", "parameter": "x"}, {"method": "stats", "parameter": "x"}],
-                     "['x_max', 'x_mean', 'x_median', 'x_min', 'x_std']", id="stats"),
+                     "column 'x_mean' is added by the stats lift of 'x' and by the stats lift of 'x'",
+                     id="stats"),
     ])
-    def test_two_lifts_adding_one_column_fail_at_load(self, tmp_path, lifts, columns):
+    def test_two_lifts_adding_one_column_fail_at_load(self, tmp_path, lifts, message):
         doc = base_config(tmp_path / "out")
         doc["lifts"] = lifts
-        with pytest.raises(UsageError, match=re.escape(f"two lifts add the same columns: {columns}")):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            config_from_dict(doc, tmp_path)
+
+    @pytest.mark.parametrize("column, source", [
+        ("x_reject_pct", "the reject_rate lift of 'x'"),
+        ("x_std", "the stats lift of 'x'"),
+        ("hour_of_day", "the cyclical encoding"),
+        ("minutes_from_epoch", "the sequential encoding"),
+        ("batch_order", "the batch_order encoding"),
+    ], ids=lambda value: value.split()[1] if " " in value else value)
+    def test_batch_csv_column_that_a_lift_or_encoding_adds_fails_at_load(
+        self, tmp_path, capsys, column, source
+    ):
+        doc = csv_config()
+        doc["lifts"].append({"method": "stats", "parameter": "x"})
+        config_from_dict(doc, tmp_path)  # valid before the edit
+        doc["input"]["csv"][0]["columns"].append({"name": column, "kind": "numeric"})
+        message = f"column {column!r} is added by the batch CSV batch.csv and by {source}"
+        with pytest.raises(UsageError, match=re.escape(message)):
+            config_from_dict(doc, tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", "--config", str(path)]) == 1  # before any CSV is read
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", BAD_CSV_INPUTS)
+    def test_bad_csv_input_fails_at_load(self, tmp_path, edit, message):
+        doc = csv_config()
+        edit(doc["input"]["csv"])
+        with pytest.raises(UsageError, match=re.escape(message)):
             config_from_dict(doc, tmp_path)
 
     def test_problem_rule_beside_a_lift_of_its_column_is_not_a_second_lift(self, tmp_path):
@@ -351,6 +428,11 @@ class TestFieldReader:
         assert scenario_from_dict(scenario).n_batches == 200
         parsed = config_from_dict(config, tmp_path)
         assert [t.name for t in parsed.targets] == ["low_yield", "x_problem"]
+
+    def test_readme_library_example_runs(self, capsys):
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        exec(compile(block, str(README), "exec"), {})
+        assert re.search(r"^IF .* THEN reject", capsys.readouterr().out, re.M)
 
 
 class TestHappyPath:
@@ -784,6 +866,24 @@ class TestExitCodes:
         assert main(["analyze", "--config", path]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"data error: batch id 'B[A-J]{4}' has no decimal digit to order by\n", err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", BAD_RUNS)
+    def test_analysis_table_that_cannot_be_built_exits_one(self, tmp_path, capsys, edit, message):
+        doc = base_config("out", n_batches=30)
+        edit(doc)
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_two_csv_inputs_at_one_level_exit_one(self, tmp_path, capsys):
+        write_shuffled_csvs(tmp_path / "data")
+        doc = csv_config()
+        doc["input"]["csv"].append(doc["input"]["csv"][1])
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: two tables declared at WAFER\n"
         assert not (tmp_path / "out").exists()
 
     def test_csv_input_without_a_batch_table_exits_one(self, tmp_path, capsys):
