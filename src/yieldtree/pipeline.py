@@ -163,14 +163,18 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if (self.scenario is None) == (not self.csv_inputs):
             raise UsageError("config needs exactly one input source: scenario or csv")
+        levels = [schema.level for _, schema in self.csv_inputs]
+        for i, level in enumerate(levels):
+            if level in levels[:i]:
+                raise UsageError(f"two tables declared at {level.name}")
         if not self.targets:
             raise UsageError("config needs at least one target (field 'targets')")
         names = [t.name for t in self.targets]
         if len(set(names)) != len(names):
             raise UsageError(f"target names must be unique, got {names}")
         # what adds each batch-table column; a problem target's rule is never joined
-        adders = [([c.name for c in schema.columns], f"the batch CSV {path.name}")
-                  for path, schema in self.csv_inputs if schema.level is GranularityLevel.BATCH]
+        batch = [(path, s) for path, s in self.csv_inputs if s.level is GranularityLevel.BATCH]
+        adders = [([c.name for c in s.columns], f"the batch CSV {path.name}") for path, s in batch]
         for d in self.lifts:
             stats = isinstance(d, StatsLift)
             names = lift.stats_columns(d.parameter) if stats else [d.reject_rate_column()]
@@ -183,6 +187,10 @@ class PipelineConfig:
                 if name in added:
                     raise UsageError(f"column {name!r} is added by {added[name]} and by {source}")
                 added[name] = source
+        # the encoders check their columns on a zero-row batch table; with no
+        # batch input there is none, and the run reports the missing table
+        for columns in [s.columns for _, s in batch] if self.csv_inputs else [synthfab.BATCH_COLUMNS]:
+            _apply_encodings(Table(GranularityLevel.BATCH, columns, ()), self.encodings)
 
 
 _LIFTS = {
@@ -235,12 +243,10 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> PipelineConfig:
         doc, "config",
         input=lambda d: read_fields(d, "input", scenario=synthfab.scenario_from_dict, csv=csv),
         screens=_SCREENS, lifts=array(_read_lift), encodings=_ENCODINGS,
-        targets=array(_read_target), target=_read_target, train=_TRAIN,
+        targets=array(_read_target), train=_TRAIN,
         features=lambda d: read_fields(d, "features", exclude=array(text)),
         outputs=lambda d: read_fields(d, "outputs", dir=text),
     )
-    if "target" in fields:  # the single-target alias
-        fields["targets"] = fields.get("targets", ()) + (fields.pop("target"),)
     inputs = fields.pop("input", {})
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
@@ -376,8 +382,7 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
 
     The run pauses the cyclic garbage collector (for every thread) and
     restores the caller's setting on return or raise. The pipeline's data
-    hold no reference cycles, so reference counting frees them. Survivors
-    join the oldest generation unwalked unless the caller froze objects.
+    hold no reference cycles, so reference counting frees them.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -385,9 +390,6 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
         return _run_pipeline(config, report_only)
     finally:
         if enabled:
-            if not gc.get_freeze_count():
-                gc.freeze()
-                gc.unfreeze()
             gc.enable()
 
 

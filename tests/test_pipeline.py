@@ -134,8 +134,8 @@ BAD_CSV_INPUTS = [
                  "columns declared twice: ['x']", id="column-declared-twice"),
 ]
 
-# Edits of base_config() that load but fail while the run builds the analysis table.
-BAD_RUNS = [
+# Edits of base_config() whose encodings fail at load, on the declared batch columns.
+BAD_ENCODINGS = [
     pytest.param(lambda d: d["encodings"]["cyclical"].update(time_column="machine"),
                  "column 'machine' is not a timestamp", id="cyclical-not-a-timestamp"),
     pytest.param(lambda d: d["encodings"]["sequential"].update(time_column="oven_temp"),
@@ -145,6 +145,12 @@ BAD_RUNS = [
     pytest.param(lambda d: d["encodings"].update(batch_order={"id_column": "lot"}),
                  "'lot' is neither an identifier column nor a key field of the BATCH table",
                  id="batch_order-unknown-name"),
+]
+
+# Edits of base_config() that fail before the run writes anything: the
+# encodings at load, a lift from an absent level while the run lifts.
+BAD_RUNS = [
+    *BAD_ENCODINGS,
     pytest.param(lambda d: d["lifts"].append({"method": "stats", "parameter": "x", "from_level": "ic"}),
                  "dataset has no IC table", id="stats-lift-from-absent-ics"),
 ]
@@ -224,11 +230,11 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="unique"):
             config_from_dict(doc, tmp_path)
 
-    def test_single_target_alias(self, tmp_path):
+    def test_singular_target_is_an_unknown_field(self, tmp_path):
         doc = base_config(tmp_path / "out")
         doc["target"] = doc.pop("targets")[0]
-        config = config_from_dict(doc, tmp_path)
-        assert [t.name for t in config.targets] == ["prob"]
+        with pytest.raises(UsageError, match=re.escape("unknown config fields: ['target']")):
+            config_from_dict(doc, tmp_path)
 
     @pytest.mark.parametrize("target, message", BAD_TARGETS)
     def test_bad_target_is_usage_error(self, tmp_path, target, message):
@@ -315,6 +321,23 @@ class TestConfigValidation:
         doc = csv_config()
         edit(doc["input"]["csv"])
         with pytest.raises(UsageError, match=re.escape(message)):
+            config_from_dict(doc, tmp_path)
+
+    def test_two_csv_inputs_at_one_level_fail_at_load(self, tmp_path):
+        doc = csv_config()  # no CSV file exists under tmp_path
+        doc["input"]["csv"].insert(2, doc["input"]["csv"][1])
+        with pytest.raises(UsageError, match="^two tables declared at WAFER$"):
+            config_from_dict(doc, tmp_path)
+
+    @pytest.mark.parametrize("config", [base_config, lambda out: copy.deepcopy(csv_config())],
+                             ids=["scenario", "csv"])
+    @pytest.mark.parametrize("edit, message", BAD_ENCODINGS)
+    def test_encoding_on_a_batch_column_of_the_wrong_kind_fails_at_load(
+        self, tmp_path, config, edit, message
+    ):
+        doc = config("out")
+        edit(doc)
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             config_from_dict(doc, tmp_path)
 
     def test_problem_rule_beside_a_lift_of_its_column_is_not_a_second_lift(self, tmp_path):
@@ -877,6 +900,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_singular_target_exits_one_naming_it(self, tmp_path, capsys):
+        doc = base_config("out", n_batches=30)
+        doc["target"] = doc.pop("targets")[0]
+        path = self.write_config(tmp_path, doc)
+        assert main(["analyze", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: unknown config fields: ['target']\n"
+        assert not (tmp_path / "out").exists()
+
     def test_two_csv_inputs_at_one_level_exit_one(self, tmp_path, capsys):
         write_shuffled_csvs(tmp_path / "data")
         doc = csv_config()
@@ -1285,6 +1316,31 @@ class TestCollectorPause:
             assert frozen > 0 and gc.get_freeze_count() == frozen
         finally:
             gc.unfreeze()
+
+    def test_objects_the_caller_made_are_not_moved_to_the_oldest_generation(
+        self, tmp_path, collector
+    ):
+        collector(True)
+        gc.collect()  # no collection older than the youngest is due after the run
+        made = []
+        run_config(base_config(tmp_path / "out", n_batches=30))
+        assert id(made) not in map(id, gc.get_objects(generation=2))
+
+    def test_a_young_collection_after_a_run_finds_every_cycle_the_run_left(self, tmp_path, collector):
+        collector(True)
+        gc.collect()  # garbage from before the run is freed, not saved
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            run_config(base_config(tmp_path / "out", n_batches=30))
+            gc.collect(0)  # saves json.encoder cycles where json.dumps(indent=2) runs in Python
+            young = len(gc.garbage)
+            gc.collect()
+            older = [type(obj).__name__ for obj in gc.garbage[young:]]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert older == []
 
     def test_a_run_leaves_no_yieldtree_object_in_a_cycle(self, tmp_path):
         gc.collect()  # garbage from before the run is freed, not saved
