@@ -5,7 +5,10 @@ refuses is a UsageError.
 
 File format: UTF-8, comma-separated, RFC 4180 quoting, first row header.
 Timestamp cells are exactly ``YYYY-MM-DD HH:MM`` in local plant time; no
-time-zone arithmetic anywhere.
+time-zone arithmetic anywhere. In a table that `load_table` reads, equal key
+ids and equal categorical or identifier cells are one `str`, shared by a dict
+that the call drops; not by `sys.intern`, whose strings CPython 3.12 keeps
+until the process exits.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ T = TypeVar("T")
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "na", "?"})
+_TEXT_KINDS = (ColumnKind.CATEGORICAL, ColumnKind.IDENTIFIER)
 
 @dataclass(frozen=True)
 class TableSchema:
@@ -301,6 +305,9 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
         width = 1 + max(positions[name] for name in needed)
         tokens = schema.missing_tokens
         no_key = tokens | {""}
+        shared = {positions[c.name] for c in schema.columns if c.kind in _TEXT_KINDS}
+        shared |= {positions[name] for name in schema.key_columns}
+        share = {}.setdefault  # the first str read of each id or text, for every later copy
         keys: list[EntityKey] = []
         cells: list[list[Any]] = [[] for _ in schema.columns]
         while block := _next_records(reader, _BLOCK_ROWS, path):
@@ -311,7 +318,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
                     f"{path}: row {first + i} has {len(block[i])} fields, "
                     f"expected at least {width}"
                 )
-            fields = list(zip(*block))
+            fields = [tuple(map(share, f, f)) if i in shared else f for i, f in enumerate(zip(*block))]
             ids = [fields[positions[name]] for name in schema.key_columns]
             for name, column in zip(schema.key_columns, ids):
                 if not no_key.isdisjoint(column):
@@ -324,9 +331,8 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
                     i = [_convert([text], c.kind, tokens) for text in texts].index(None)
                     numeric = c.kind is ColumnKind.NUMERIC
                     expected = "a finite number" if numeric else repr(TIMESTAMP_FORMAT)
-                    raise ParseError(
-                        f"row {first + i}, column {c.name}: cannot parse {texts[i]!r} as {expected}"
-                    )
+                    where = f"{path}: row {first + i}, column {c.name}"
+                    raise ParseError(f"{where}: cannot parse {texts[i]!r} as {expected}")
                 parsed.extend(values)
             keys.extend(map(EntityKey.from_ids, zip(*ids)))
 
@@ -406,7 +412,7 @@ def write_table(table: Table, path: str | Path) -> None:
     read back as missing, so it is a UsageError.
     """
     for c, cells in zip(table.columns, table.cells):
-        if c.kind in (ColumnKind.CATEGORICAL, ColumnKind.IDENTIFIER) and "" in cells:
+        if c.kind in _TEXT_KINDS and "" in cells:
             key = table.keys[cells.index("")]
             raise UsageError(f"empty {c.name!r} cell in row {key} would read back as missing")
     texts = (map(_format_cell, cells, repeat(c)) for c, cells in zip(table.columns, table.cells))

@@ -19,6 +19,7 @@ from yieldtree.ingest import (
     load_dataset,
     load_table,
     table_schema,
+    write_dataset,
     write_table,
 )
 from yieldtree.model import (
@@ -30,6 +31,7 @@ from yieldtree.model import (
     Row,
     Table,
 )
+from yieldtree.synthfab import FabScenario, generate
 
 
 @pytest.fixture
@@ -134,7 +136,8 @@ def analyze_batch_csv(tmp_path, data: bytes) -> int:
 class TestUnreadableInput:
     """Bytes that are not UTF-8, or a record the CSV reader cannot split,
     are bad data: a ParseError naming the file and the reader's line. A file
-    without a header row is bad data too."""
+    without a header row, or with a cell that does not parse, is bad data
+    too, and the error names the file as well."""
 
     def test_undecodable_byte_is_parse_error(self, tmp_path, batch_schema):
         path = tmp_path / "t.csv"
@@ -165,8 +168,9 @@ class TestUnreadableInput:
             (b"batch_id,yield\nb1,95\nb2,8\xff0\n", "batch.csv: byte b'\\xff' on line 1"),
             (b"batch_id,yield\nb1,95\nb2," + b"9" * 200_000 + b"\n", "batch.csv: line 3: field larger"),
             (b"", "batch.csv: file has no header row"),
+            (b"batch_id,yield\nb1,95\nb2,abc\n", "batch.csv: row 2, column yield: cannot parse 'abc'"),
         ],
-        ids=["undecodable", "oversized", "empty"],
+        ids=["undecodable", "oversized", "empty", "unparsable"],
     )
     def test_cli_exits_with_data_error(self, tmp_path, capsys, data, message):
         assert analyze_batch_csv(tmp_path, data) == 2
@@ -401,7 +405,7 @@ def reference_load(path, schema):
         cells = []
         for column in schema.columns:
             text = record[position[column.name]]
-            where = f"row {number}, column {column.name}: cannot parse {text!r} as"
+            where = f"{path}: row {number}, column {column.name}: cannot parse {text!r} as"
             if text in schema.missing_tokens:
                 cells.append(MISSING)
             elif column.kind is ColumnKind.NUMERIC:
@@ -508,6 +512,44 @@ class TestBlockLoaderAgainstReference:
         assert parse_error(load_table, path, schema) == expected
 
 
+class TestKeysAndIds:
+    def test_equal_ids_and_text_cells_are_one_str(self, tmp_path):
+        dataset = generate(FabScenario(seed=5, n_batches=12))
+        rng = random.Random(5)
+        for level, path in write_dataset(dataset, tmp_path).items():
+            with open(path, newline="", encoding="utf-8") as handle:
+                header, *records = list(csv.reader(handle))
+            rng.shuffle(records)
+            write_records(path, header, records)
+            schema = table_schema(dataset.tables[level])
+            table = load_table(path, schema)
+            assert table == reference_load(path, schema)
+            texts = [
+                [cell for cell in cells if cell is not MISSING]
+                for c, cells in zip(table.columns, table.cells)
+                if c.kind in (ColumnKind.CATEGORICAL, ColumnKind.IDENTIFIER)
+            ]
+            assert level is not BATCH or texts
+            for column in [*zip(*table.keys), *texts]:
+                assert len(set(map(id, column))) == len(set(column))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_key_check_per_row(self, tmp_path, monkeypatch, seed):
+        schema, header, records = random_input(random.Random(seed))
+        path = write_records(tmp_path / "t.csv", header, records)
+        checked = []
+        check = EntityKey.__post_init__
+
+        def counted(key):
+            checked.append(key)
+            check(key)
+
+        monkeypatch.setattr(EntityKey, "__post_init__", counted)
+        table = load_table(path, schema)
+        assert checked == list(table.keys)
+        assert len(checked) == len(records)
+
+
 class TestDefectOrder:
     """With several defects, the first block that has one is reported, and in
     it: a short row, then a missing key (key columns in schema order), then
@@ -545,8 +587,8 @@ class TestDefectOrder:
             f"{path}: row {b + 10} has 2 fields, expected at least 4",
             f"{path}: row {b + 8}: key column batch_id is missing",
             f"{path}: row {b + 6}: key column wafer_id is missing",
-            f"row {b + 4}, column x: cannot parse 'abc' as a finite number",
-            f"row {b + 2}, column ts: cannot parse 'soon' as '%Y-%m-%d %H:%M'",
+            f"{path}: row {b + 4}, column x: cannot parse 'abc' as a finite number",
+            f"{path}: row {b + 2}, column ts: cannot parse 'soon' as '%Y-%m-%d %H:%M'",
             f"{path}: row {2 * b + 1} has 2 fields, expected at least 4",
         ]
         for fixed in range(len(in_second_block) + 1):
