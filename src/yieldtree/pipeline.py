@@ -12,7 +12,6 @@ run_pipeline returns; the result keeps the batch-level tables.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from datetime import date, datetime
@@ -53,7 +52,7 @@ from .model import (
     join_tables,
     validate_hierarchy,
 )
-from .rng import PortableRandom, derive_seed
+from .rng import PortableRandom, derive_seed, sha256
 
 VERSION = "0.1.0"
 
@@ -248,7 +247,7 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> PipelineConfig:
         outputs=lambda d: read_fields(d, "outputs", dir=text),
     )
     inputs = fields.pop("input", {})
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
     ).hexdigest()
     return PipelineConfig(

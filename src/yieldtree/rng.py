@@ -3,14 +3,23 @@
 Substream seeds are derived by hashing (SHA-256), and every draw is built
 on random.Random.random() — the one primitive CPython guarantees stable
 across versions — so generated datasets reproduce bit-for-bit anywhere.
+`sha256` is CPython's builtin one, as in random.py, and pipeline takes it
+from here: hashlib would load OpenSSL (3.6 MiB resident) for a few digests.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import Sequence, TypeVar
+
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 T = TypeVar("T")
 
@@ -18,7 +27,7 @@ T = TypeVar("T")
 def derive_seed(*parts: int | str) -> int:
     """Stable substream seed from (seed, index, ...) parts."""
     text = ":".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+    return int.from_bytes(sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
 class PortableRandom:
