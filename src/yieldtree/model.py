@@ -19,7 +19,7 @@ from enum import IntEnum
 from functools import partial
 from itertools import compress, islice, repeat
 from operator import itemgetter, lt
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
 
@@ -359,17 +359,17 @@ class ValidationReport:
 def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
     """Report every orphan child key and every duplicate key in the dataset.
 
-    Coarse to fine, so each coarser key set is complete when a finer table is
-    checked. C builtins prove a table clean, with no key set for a finest
+    Coarse to fine, so each coarser key dict is complete when a finer table
+    is checked. C builtins prove a table clean, with no key dict for a finest
     table whose keys strictly ascend; only a table with defects is walked.
     """
     duplicates: list[Violation] = []
     orphans: list[Violation] = []
-    coarser: list[tuple[GranularityLevel, int, set[EntityKey] | None]] = []
+    coarser: list[tuple[GranularityLevel, int, Container[EntityKey] | None]] = []
     for level in dataset.levels:
         keys = dataset.tables[level].keys
         ascending = level is dataset.levels[-1] and all(map(lt, keys, islice(keys, 1, None)))
-        seen = None if ascending else set(keys)
+        seen = None if ascending else dict.fromkeys(keys)
         if not (ascending or len(seen) == len(keys)) or not all(
             all(map(parents.__contains__, map(itemgetter(slice(depth)), keys)))
             for _, depth, parents in coarser

@@ -5,8 +5,8 @@ The config is a single JSON document (see README for the annotated schema).
 Reruns with identical config and inputs produce byte-identical artifacts:
 the manifest carries no timestamps, JSON is written with sorted keys, and
 every stage is deterministic. Every stage runs before the first artifact is
-written; a run that fails writes nothing. The input rows are freed before
-run_pipeline returns; the result keeps the batch-level tables.
+written; a run that fails writes nothing. The input tables are freed before
+the correlation screen; the result keeps the batch-level tables.
 """
 
 from __future__ import annotations
@@ -462,6 +462,7 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
                 raise
             threshold = None
         target_values.append((values, histogram_report, threshold))
+    del dataset  # the loop above is its last reader: later stages reuse its memory
     source_columns = {t.source_column for t in config.targets}
     shielded = source_columns | set(config.feature_excludes)
     feature_table = analysis.without_columns(

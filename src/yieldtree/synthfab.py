@@ -296,6 +296,13 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
         batch_yield = 100 * accepted / scenario.wafers_per_batch
         batch_cells.append((timestamp, machine, operator, supplier, oven_temp, humidity, batch_yield))
 
+    # a Table keeps a tuple as it is: swap each list for its tuple in turn, so
+    # every list is freed before the next one is copied
+    lists = [batch_keys, wafer_keys, wafer_rejected, site_keys, site_values, ic_keys, ic_values]
+    del batch_keys, wafer_keys, wafer_rejected, site_keys, site_values, ic_keys, ic_values
+    for i, column in enumerate(lists):
+        lists[i] = tuple(column)
+    batch_keys, wafer_keys, wafer_rejected, site_keys, site_values, ic_keys, ic_values = lists
     tables = {
         level: Table.from_columns(level, columns, keys, cells)
         for level, columns, keys, cells in (

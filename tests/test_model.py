@@ -283,6 +283,66 @@ class TestValidateHierarchy:
         assert len(report.orphans) == 2
 
 
+def reference_violations(dataset):
+    """Every duplicate and every orphan in report order, by a quadratic scan:
+    levels coarse to fine, rows in table order, a row's coarser levels coarse
+    to fine. Each repeat of a key is one duplicate; each row, repeats too, is
+    an orphan once per coarser table that lacks its ancestor."""
+    duplicates, orphans = [], []
+    for index, level in enumerate(dataset.levels):
+        keys = [row.key for row in dataset.tables[level].rows]
+        for position, key in enumerate(keys):
+            if key in keys[:position]:
+                duplicates.append(("duplicate", level, key, f"key {key} occurs more than once"))
+            for coarser in dataset.levels[:index]:
+                ancestor = EntityKey(coarser, *key[: coarser + 1])
+                if ancestor not in [row.key for row in dataset.tables[coarser].rows]:
+                    detail = f"row {key} has no {coarser.name} ancestor {ancestor}"
+                    orphans.append(("orphan", level, key, detail))
+    return duplicates, orphans
+
+
+def planted_dataset(rng, levels, orphans=True, duplicates=True):
+    """Tables at `levels` with one to three children per clean parent key.
+    Planted, each level below the coarsest has an orphan, with no ancestor or
+    lacking only its parent where the grandparent exists, and each level
+    repeats one of its keys. The finest table is shuffled."""
+    tables, parents = {}, [()]
+    for level in levels:
+        depth = level + 1
+        ids = [parent + (f"{level.name[0]}{i}",) * (depth - len(parent))
+               for parent in parents for i in range(rng.randint(1, 3))]
+        children = list(ids)
+        if orphans and parents != [()]:
+            stem = ("ghost",) if rng.random() < 0.5 else rng.choice(parents)[:-1] + ("lost",)
+            ids.append(stem + ("x",) * (depth - len(stem)))
+        parents = children
+        if duplicates:
+            ids.append(rng.choice(ids))
+        if level is levels[-1]:
+            rng.shuffle(ids)
+        tables[level] = Table(level, (), tuple(Row(EntityKey(level, *i), ()) for i in ids))
+    return HierarchicalDataset(tables)
+
+
+class TestValidateHierarchyReference:
+    @pytest.mark.parametrize("seed, levels", [(seed, (BATCH, WAFER, SITE, IC)) for seed in range(8)]
+                             + [(8, (BATCH, SITE, IC))])
+    @pytest.mark.parametrize("planted", [True, False], ids=["duplicates", "no-duplicates"])
+    def test_every_duplicate_and_orphan_in_report_order(self, seed, levels, planted):
+        """Without duplicates, C builtins alone must find each table's orphans."""
+        dataset = planted_dataset(random.Random(seed), levels, duplicates=planted)
+        report = validate_hierarchy(dataset)
+        duplicates, orphans = reference_violations(dataset)
+        assert {d[1] for d in duplicates} == (set(levels) if planted else set())
+        assert {o[1] for o in orphans} == set(levels[1:])
+        assert [(v.kind, v.level, v.key, v.detail) for v in report.violations] == duplicates + orphans
+
+    def test_an_unplanted_dataset_has_no_violations(self):
+        dataset = planted_dataset(random.Random(0), (BATCH, WAFER, SITE, IC), False, False)
+        assert reference_violations(dataset) == ([], []) and validate_hierarchy(dataset).ok
+
+
 class TestGroupByAncestor:
     def _site_table(self, n_batches, n_wafers, n_sites):
         rows = tuple(

@@ -13,6 +13,7 @@ from test_golden import X_RULE, csv_config, scenario_config, write_shuffled_csvs
 from yieldtree import synthfab
 from yieldtree.cli import main
 from yieldtree.errors import AnalysisError, DataError, UsageError
+from yieldtree.ingest import write_dataset
 from yieldtree.model import Column, ColumnKind, Table
 from yieldtree.pipeline import (
     ScreenSettings, StatsLift, TargetDirective, TrainSettings, _screen_dataset, config_from_dict,
@@ -1275,6 +1276,37 @@ class TestRunResult:
         result = run_config(base_config(tmp_path / "out", n_batches=30))
         assert result.targets["prob"].tree is not None
         assert len(site_tables) == 1 and site_tables[0]() is None
+
+    @pytest.mark.parametrize("source", ["scenario", "csv"])
+    def test_input_tables_are_freed_before_the_first_tree(self, tmp_path, monkeypatch, source):
+        """The target-values loop is the input's last reader, so the
+        correlation screen and training reuse the input tables' memory. The
+        CSVs are clean: the screens keep the loaded site table itself."""
+        from yieldtree import ingest, pipeline
+
+        if source == "scenario":
+            module, name, doc = synthfab, "generate", base_config(tmp_path / "out", n_batches=30)
+        else:
+            scenario = scenario_from_dict({"seed": 23, "n_batches": 40, "wafers_per_batch": 6,
+                                           "sites_per_wafer": 4, "batch_interval_minutes": 200})
+            write_dataset(synthfab.generate(scenario), tmp_path / "data")
+            module, name, doc = ingest, "load_dataset", csv_config()
+        site_tables, freed_at_train = [], []
+        original_read, original_train = getattr(module, name), pipeline.train
+
+        def read_input(argument):
+            dataset = original_read(argument)
+            site_tables.append(weakref.ref(dataset.tables[SITE]))
+            return dataset
+
+        def train(data, config):
+            freed_at_train.append(site_tables[0]() is None)
+            return original_train(data, config)
+
+        monkeypatch.setattr(module, name, read_input)
+        monkeypatch.setattr(pipeline, "train", train)
+        run_config(doc, tmp_path)
+        assert len(site_tables) == 1 and freed_at_train and all(freed_at_train)
 
 
 class TestCollectorPause:
