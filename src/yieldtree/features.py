@@ -115,7 +115,7 @@ def order_from_batch_id(table: Table, id_column: str) -> Table:
         ids = table.values(id_column)
     elif id_column in table.level.key_fields:
         position = table.level.key_fields.index(id_column)
-        ids = [key[position] for key in table.keys]
+        ids = table.key_fields[position]
     else:
         raise UsageError(
             f"{id_column!r} is neither an identifier column nor a key field "

@@ -238,7 +238,7 @@ def train(data: LabeledDataset, config: TrainConfig = TrainConfig()) -> Decision
     identifier and timestamp columns are ignored (encode timestamps first).
     Feature cells must be complete: screens run upstream.
     """
-    if not data.features.keys:
+    if not len(data):
         raise UsageError("cannot train on an empty dataset")
     columns = tuple(
         c

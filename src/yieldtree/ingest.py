@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -308,10 +309,10 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
         shared = {positions[c.name] for c in schema.columns if c.kind in _TEXT_KINDS}
         shared |= {positions[name] for name in schema.key_columns}
         share = {}.setdefault  # the first str read of each id or text, for every later copy
-        keys: list[EntityKey] = []
+        key_fields: list[list[str]] = [[] for _ in schema.key_columns]
         cells: list[list[Any]] = [[] for _ in schema.columns]
         while block := _next_records(reader, _BLOCK_ROWS, path):
-            first = len(keys) + 1  # row number of block[0]
+            first = len(key_fields[0]) + 1  # row number of block[0]
             if min(map(len, block)) < width:
                 i = next(i for i, record in enumerate(block) if len(record) < width)
                 raise ParseError(
@@ -334,9 +335,11 @@ def load_table(path: str | Path, schema: TableSchema) -> Table:
                     where = f"{path}: row {first + i}, column {c.name}"
                     raise ParseError(f"{where}: cannot parse {texts[i]!r} as {expected}")
                 parsed.extend(values)
-            keys.extend(map(EntityKey.from_ids, zip(*ids)))
+            deque(map(EntityKey.from_ids, zip(*ids)), maxlen=0)  # each row's ids checked once
+            for field, column in zip(key_fields, ids):
+                field.extend(column)
 
-    return Table.from_columns(schema.level, schema.columns, keys, cells)
+    return Table.from_columns(schema.level, schema.columns, key_fields, cells)
 
 
 def load_dataset(specs: list[tuple[str | Path, TableSchema]]) -> HierarchicalDataset:
@@ -383,7 +386,7 @@ def apply_sensor_limits(
     )
     dropped = {hit[0] for hit in hits}
     keep = [r not in dropped for r in range(len(table))]
-    return table.filter_rows(keep), [(table.keys[r], c, v) for r, _, c, v in hits]
+    return table.filter_rows(keep), [(table.key(r), c, v) for r, _, c, v in hits]
 
 
 def _format_cell(value: Any, column: Column) -> str:
@@ -413,14 +416,10 @@ def write_table(table: Table, path: str | Path) -> None:
     """
     for c, cells in zip(table.columns, table.cells):
         if c.kind in _TEXT_KINDS and "" in cells:
-            key = table.keys[cells.index("")]
+            key = table.key(cells.index(""))
             raise UsageError(f"empty {c.name!r} cell in row {key} would read back as missing")
     texts = (map(_format_cell, cells, repeat(c)) for c, cells in zip(table.columns, table.cells))
-    write_csv(
-        path,
-        table.level.key_fields + table.column_names,
-        ((*key, *row) for key, *row in zip(table.keys, *texts)),
-    )
+    write_csv(path, table.level.key_fields + table.column_names, zip(*table.key_fields, *texts))
 
 
 def table_schema(table: Table) -> TableSchema:

@@ -151,17 +151,18 @@ def lift_stats(
     cells = from_table.cells[_numeric_index(from_table, parameter)]
     groups = group_by_ancestor(from_table, to_level)
     to_table = dataset.tables.get(to_level)
-    keys = tuple(groups) if to_table is None else to_table.keys
+    key_fields = (to_table.key_fields if to_table is not None
+                  else list(zip(*groups)) or [()] * (to_level + 1))
 
     stats = []
-    for key in keys:
-        group = map(cells.__getitem__, groups.get(key, ()))
+    for ids in zip(*key_fields):
+        group = map(cells.__getitem__, groups.get(ids, ()))
         values = [value for value in group if value is not MISSING]
         if not values:
-            raise DataError(f"no {parameter!r} measurements under {to_level.name} entity {key}")
+            raise DataError(f"no {parameter!r} measurements under {to_level.name} entity {'/'.join(ids)}")
         stats.append(_group_stats(values))
     columns = [Column(name, ColumnKind.NUMERIC) for name in stats_columns(parameter)]
-    return Table.from_columns(to_level, columns, keys, list(zip(*stats)) or [()] * len(columns))
+    return Table.from_columns(to_level, columns, key_fields, list(zip(*stats)) or [()] * len(columns))
 
 
 def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table:
@@ -176,22 +177,22 @@ def lift_reject_rate(dataset: HierarchicalDataset, rule: RejectionRule) -> Table
         if level not in dataset.tables:
             raise UsageError(f"Method B needs a {level.name} table")
     site = dataset.table(GranularityLevel.SITE)
-    keys, values = site.keys, site.cells[_numeric_index(site, rule.parameter)]
+    wafer_ids, values = site.key_fields[1], site.cells[_numeric_index(site, rule.parameter)]
     sites_by_batch = group_by_ancestor(site, GranularityLevel.BATCH)
 
-    batch_keys = dataset.table(GranularityLevel.BATCH).keys
+    batch = dataset.table(GranularityLevel.BATCH)
     rates = []
-    for batch_key in batch_keys:
+    for batch_id in batch.key_fields[0]:
         values_by_wafer: dict[str, list[float]] = {}
-        for position in sites_by_batch.get(batch_key, ()):
+        for position in sites_by_batch.get((batch_id,), ()):
             if values[position] is not MISSING:
-                values_by_wafer.setdefault(keys[position][1], []).append(values[position])
+                values_by_wafer.setdefault(wafer_ids[position], []).append(values[position])
         if not values_by_wafer:
-            raise DataError(f"no {rule.parameter!r} measurements under batch {batch_key}")
+            raise DataError(f"no {rule.parameter!r} measurements under batch {batch_id}")
         rejected = sum(map(rule.wafer_rejected, values_by_wafer.values()))
         rates.append(100 * rejected / len(values_by_wafer))
     column = Column(rule.reject_rate_column(), ColumnKind.NUMERIC, units="percent")
-    return Table.from_columns(GranularityLevel.BATCH, (column,), batch_keys, (rates,))
+    return Table.from_columns(GranularityLevel.BATCH, (column,), batch.key_fields, (rates,))
 
 
 def broadcast_down(
@@ -208,13 +209,12 @@ def broadcast_down(
         raise UsageError(f"from_level {from_level.name} must be coarser than to_level {to_level.name}")
     source = dataset.table(from_level)
     target = dataset.table(to_level)
-    by_key = dict(zip(source.keys, source.cells[source.column_index(column)]))
+    by_ancestor = dict(zip(source.ancestor_ids(from_level), source.cells[source.column_index(column)]))
 
-    depth = from_level + 1
     values = []
-    for key in target.keys:
-        prefix = key[:depth]
-        if prefix not in by_key:
+    for position, ancestor in enumerate(target.ancestor_ids(from_level)):
+        if ancestor not in by_ancestor:
+            key = target.key(position)
             raise DataError(f"row {key} has no {from_level.name} ancestor {key.ancestor(from_level)}")
-        values.append(by_key[prefix])
-    return Table.from_columns(to_level, (source.column(column),), target.keys, (values,))
+        values.append(by_ancestor[ancestor])
+    return Table.from_columns(to_level, (source.column(column),), target.key_fields, (values,))

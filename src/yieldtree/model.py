@@ -2,8 +2,9 @@
 
 A dataset is a set of keyed tables, one per granularity level, ordered
 coarse to fine: batch > wafer > site > IC. A table is stored by column: one
-tuple of row keys and one tuple of cells per column. The package builds
-every table from columns; `Row` and `Table.rows` are the row view for
+tuple of ids per key field (batch_id first) and one tuple of cells per
+column, so it holds no key object per row. The package builds every table
+from columns; `Row`, `Table.rows` and `Table.keys` are the row views for
 library callers. Values are immutable after construction; every operation
 returns new objects. Columns are appended in one place,
 `Table.with_added_columns`, which `join_tables` and the encoders call. A
@@ -13,13 +14,14 @@ missing cell is `None`, which every layer reads by the name `MISSING`.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from itertools import compress, islice, repeat
-from operator import itemgetter, lt
-from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, compress, count, repeat
+from math import prod
+from operator import add, getitem, setitem
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
 
@@ -84,7 +86,9 @@ class EntityKey(tuple):
     A key at `level` (0 to 3) is exactly its level + 1 non-empty ids; any
     other level or id count is a UsageError. It hashes, compares and sorts
     like that plain tuple, and the ids of its ancestor at `level` are the
-    prefix ``key[:level + 1]``.
+    prefix ``key[:level + 1]``. A table stores its rows' ids by field, not
+    as keys: the package checks each input row's ids once, through
+    `from_ids`, and drops the key.
     """
 
     __slots__ = ()
@@ -158,19 +162,20 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True, init=False)
 class Table:
-    """Keyed table at a single granularity level, stored by column: `keys`
-    holds each row's key and `cells` one tuple per column, in row order.
+    """Keyed table at a single granularity level, stored by column:
+    `key_fields` holds one tuple of ids per key field of the level (batch
+    ids first) and `cells` one tuple per column, in row order.
 
     `Table(level, columns, rows)` builds one from `Row`s; `from_columns`
-    builds one from its keys and columns. Both end in `__post_init__`, the
-    one structural check (column names, key levels, column lengths).
-    Duplicate keys are data rather than construction errors and are reported
-    by validate_hierarchy.
+    builds one from its key fields and columns. Both end in `__post_init__`,
+    the one structural check (column names, field and column counts and
+    lengths). Duplicate keys are data rather than construction errors and
+    are reported by validate_hierarchy.
     """
 
     level: GranularityLevel
     columns: tuple[Column, ...]
-    keys: tuple[EntityKey, ...]
+    key_fields: tuple[tuple[str, ...], ...]
     cells: tuple[tuple[Any, ...], ...]
 
     def __init__(
@@ -180,35 +185,41 @@ class Table:
         short = next((row for row in rows if len(row.cells) != len(columns)), None)
         if short is not None:
             raise UsageError(f"row {short.key} has {len(short.cells)} cells for {len(columns)} columns")
+        key = next((row.key for row in rows if len(row.key) != level + 1), None)
+        if key is not None:
+            named = 0 < len(key) <= 4  # a key built around its check may not be
+            at = f"is at {GranularityLevel(len(key) - 1).name}" if named else f"has {len(key)} ids"
+            raise UsageError(f"row {key} {at}, table is {level.name}")
         cells = list(zip(*(row.cells for row in rows))) or [()] * len(columns)
+        key_fields = list(zip(*(row.key for row in rows))) or [()] * (level + 1)
         # the dataclass is frozen: fields are set in the instance dict
-        vars(self).update(level=level, columns=columns, keys=[row.key for row in rows], cells=cells)
+        vars(self).update(level=level, columns=columns, key_fields=key_fields, cells=cells)
         self.__post_init__()
 
     @classmethod
     def from_columns(cls, level: GranularityLevel, columns: Sequence[Column],
-                     keys: Iterable[EntityKey], cells: Iterable[Iterable[Any]]) -> "Table":
-        """Table of one key per row and one cell sequence per column, in row order."""
+                     key_fields: Iterable[Iterable[str]], cells: Iterable[Iterable[Any]]) -> "Table":
+        """Table of one id sequence per key field and one cell sequence per
+        column, in row order; the ids are taken as given."""
         table = cls.__new__(cls)
-        vars(table).update(level=level, columns=columns, keys=keys, cells=cells)
+        vars(table).update(level=level, columns=columns, key_fields=key_fields, cells=cells)
         table.__post_init__()
         return table
 
     def __post_init__(self) -> None:
         """Store tuples and check them; perfbench/tracer.py patches this hook."""
-        vars(self).update(
-            columns=tuple(self.columns), keys=tuple(self.keys), cells=tuple(map(tuple, self.cells))
-        )
+        vars(self).update(columns=tuple(self.columns), key_fields=tuple(map(tuple, self.key_fields)),
+                          cells=tuple(map(tuple, self.cells)))
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             twice = sorted({name for name in names if names.count(name) > 1})
             raise UsageError(f"duplicate column names: {twice}")
-        depth, height = self.level + 1, len(self.keys)
-        if set(map(len, self.keys)) - {depth}:
-            key = next(key for key in self.keys if len(key) != depth)
-            named = 0 < len(key) <= 4  # a key built around its check may not be
-            at = f"is at {GranularityLevel(len(key) - 1).name}" if named else f"has {len(key)} ids"
-            raise UsageError(f"row {key} {at}, table is {self.level.name}")
+        if len(self.key_fields) != self.level + 1:
+            raise UsageError(f"{len(self.key_fields)} key fields for a {self.level.name} table")
+        height = len(self.key_fields[0])
+        for name, ids in zip(self.level.key_fields, self.key_fields):
+            if len(ids) != height:
+                raise UsageError(f"key field {name} has {len(ids)} ids for {height} rows")
         if len(self.cells) != len(self.columns):
             raise UsageError(f"{len(self.cells)} cell columns for {len(self.columns)} columns")
         for column, cells in zip(self.columns, self.cells):
@@ -216,7 +227,22 @@ class Table:
                 raise UsageError(f"column {column.name!r} has {len(cells)} cells for {height} rows")
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.key_fields[0])
+
+    @property
+    def keys(self) -> tuple[EntityKey, ...]:
+        """Each row's key, built unchecked on each call for library callers."""
+        return tuple(map(_prefix_key, zip(*self.key_fields)))
+
+    def key(self, position: int) -> EntityKey:
+        """The key of the row at `position`, as `keys` builds it."""
+        return _prefix_key(field[position] for field in self.key_fields)
+
+    def ancestor_ids(self, level: GranularityLevel) -> Iterable[str | tuple[str, ...]]:
+        """Each row's ancestor at `level` (this one or coarser), in row order: its
+        batch id at the batch level, else a tuple of ids made as it is read."""
+        fields = self.key_fields[: level + 1]
+        return fields[0] if level == GranularityLevel.BATCH else zip(*fields)
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -251,7 +277,7 @@ class Table:
         """New table with extra columns appended: one cell sequence per added
         column, in row order; names are new."""
         columns, cells = self.columns + tuple(columns), self.cells + tuple(cells)
-        return Table.from_columns(self.level, columns, self.keys, cells)
+        return Table.from_columns(self.level, columns, self.key_fields, cells)
 
     def without_columns(self, names: Sequence[str]) -> "Table":
         """New table with the named columns removed."""
@@ -261,7 +287,7 @@ class Table:
             raise UsageError(f"cannot drop unknown columns: {sorted(unknown)}")
         keep = [i for i, c in enumerate(self.columns) if c.name not in drop]
         return Table.from_columns(
-            self.level, [self.columns[i] for i in keep], self.keys, [self.cells[i] for i in keep]
+            self.level, [self.columns[i] for i in keep], self.key_fields, [self.cells[i] for i in keep]
         )
 
     def filter_rows(self, keep: Sequence[bool]) -> "Table":
@@ -270,8 +296,9 @@ class Table:
             raise UsageError("row mask does not align with rows")
         if all(keep):
             return self
+        key_fields = [compress(ids, keep) for ids in self.key_fields]
         cells = [compress(column, keep) for column in self.cells]
-        return Table.from_columns(self.level, self.columns, compress(self.keys, keep), cells)
+        return Table.from_columns(self.level, self.columns, key_fields, cells)
 
 
 @dataclass(frozen=True)
@@ -356,34 +383,70 @@ class ValidationReport:
         return self.duplicates + self.orphans
 
 
+def _key_codes(fields: Sequence[Sequence[str]], codes: Sequence[Mapping[str, int]]) -> Iterable[int]:
+    """Each row's ids as one int, in row order, in mixed radix: the sum of each
+    id's code times the number of codes of every finer field."""
+    rows, weight = None, 1
+    for ids, code in zip(reversed(fields), reversed(codes[: len(fields)])):
+        if weight > 1:
+            code = {name: digit * weight for name, digit in code.items()}
+        digits = map(code.__getitem__, ids)
+        rows = digits if rows is None else map(add, rows, digits)
+        weight *= len(code)
+    return rows
+
+
+def _mark(codes: Iterable[int], marks: Iterable[int], size: int,
+          rows: int) -> tuple[Callable[[int], Any], int]:
+    """Mark each code (0 to size - 1) with 1 or 0 in a byte per possible code,
+    or in a dict where that is smaller (about 64 bytes a row). Returns a test
+    for the codes and how many distinct codes are marked 1: `rows` only if
+    the codes are distinct and every mark is 1."""
+    if size > 64 * rows:
+        found = dict(zip(codes, marks))
+        return found.__contains__, sum(found.values())
+    bits = bytearray(size)
+    deque(map(setitem, repeat(bits), codes, marks), maxlen=0)
+    return partial(getitem, bits), bits.count(1)
+
+
 def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
     """Report every orphan child key and every duplicate key in the dataset.
 
-    Coarse to fine, so each coarser key dict is complete when a finer table
-    is checked. C builtins prove a table clean, with no key dict for a finest
-    table whose keys strictly ascend; only a table with defects is walked.
+    A key is checked as one int, its ids' codes in mixed radix (one code per
+    distinct id of a key field), so no tuple is kept per row. Coarse to fine:
+    while every coarser table is clean, one pass of C builtins proves a table
+    clean by marking each row's code with whether its ancestor is in the
+    nearest coarser table. Any other table is walked; only the walk builds keys.
     """
     duplicates: list[Violation] = []
     orphans: list[Violation] = []
-    coarser: list[tuple[GranularityLevel, int, Container[EntityKey] | None]] = []
-    for level in dataset.levels:
-        keys = dataset.tables[level].keys
-        ascending = level is dataset.levels[-1] and all(map(lt, keys, islice(keys, 1, None)))
-        seen = None if ascending else dict.fromkeys(keys)
-        if not (ascending or len(seen) == len(keys)) or not all(
-            all(map(parents.__contains__, map(itemgetter(slice(depth)), keys)))
-            for _, depth, parents in coarser
-        ):
-            seen = set()
-            for key in keys:
-                if key in seen:
+    tables = [dataset.tables[level] for level in dataset.levels]
+    codes = []  # one int per distinct id of each key field
+    for i in range(4):
+        ids = dict.fromkeys(chain.from_iterable(t.key_fields[i] for t in tables if t.level >= i))
+        codes.append(dict(zip(ids, count())))
+    coarser: list[tuple[GranularityLevel, Callable[[int], Any]]] = []
+    for table in tables:
+        fields, level = table.key_fields, table.level
+        marks = repeat(1)
+        if coarser:
+            parent, has_parent = coarser[-1]
+            marks = map(has_parent, _key_codes(fields[: parent + 1], codes))
+        has, clean = _mark(_key_codes(fields, codes), marks, prod(map(len, codes[: len(fields)])), len(table))
+        if clean < len(table) or duplicates or orphans:
+            seen: set[int] = set()
+            ancestors = [_key_codes(fields[: parent + 1], codes) for parent, _ in coarser]
+            for key, code, *ancestor_codes in zip(table.keys, _key_codes(fields, codes), *ancestors):
+                if code in seen:
                     duplicates.append(Violation("duplicate", level, key, f"key {key} occurs more than once"))
-                seen.add(key)
-                for parent_level, depth, parents in coarser:
-                    if key[:depth] not in parents:
-                        detail = f"row {key} has no {parent_level.name} ancestor {key.ancestor(parent_level)}"
+                seen.add(code)
+                for (parent, has_parent), ancestor in zip(coarser, ancestor_codes):
+                    if not has_parent(ancestor):
+                        detail = f"row {key} has no {parent.name} ancestor {key.ancestor(parent)}"
                         orphans.append(Violation("orphan", level, key, detail))
-        coarser.append((level, level + 1, seen))
+            has = seen.__contains__
+        coarser.append((level, has))
     return ValidationReport(tuple(orphans), tuple(duplicates))
 
 
@@ -397,11 +460,11 @@ def group_by_ancestor(table: Table, ancestor_level: GranularityLevel) -> dict[En
     """
     if ancestor_level >= table.level:
         raise UsageError(f"{ancestor_level.name} is not coarser than {table.level.name}")
-    depth = ancestor_level + 1
-    buckets: defaultdict[tuple[str, ...], array] = defaultdict(partial(array, "q"))
-    for position, key in enumerate(table.keys):
-        buckets[key[:depth]].append(position)
-    return {_prefix_key(prefix): buckets[prefix] for prefix in sorted(buckets)}
+    buckets: defaultdict[str | tuple[str, ...], array] = defaultdict(partial(array, "i"))
+    for position, ancestor in enumerate(table.ancestor_ids(ancestor_level)):
+        buckets[ancestor].append(position)
+    batch = ancestor_level == GranularityLevel.BATCH  # its ancestors are ids, not tuples
+    return {_prefix_key((a,) if batch else a): buckets[a] for a in sorted(buckets)}
 
 
 def join_tables(left: Table, right: Table) -> Table:
@@ -412,12 +475,12 @@ def join_tables(left: Table, right: Table) -> Table:
     """
     if left.level is not right.level:
         raise UsageError(f"cannot join {left.level.name} table with {right.level.name} table")
-    position_of = dict(zip(right.keys, range(len(right))))
+    position_of = dict(zip(right.ancestor_ids(right.level), count()))
     if len(position_of) != len(right):
         raise UsageError("right table has duplicate keys; cannot join")
-    positions = list(map(position_of.get, left.keys))
+    positions = list(map(position_of.get, left.ancestor_ids(left.level)))
     if None in positions:
-        raise UsageError(f"no right-side row for key {left.keys[positions.index(None)]}")
+        raise UsageError(f"no right-side row for key {left.key(positions.index(None))}")
     return left.with_added_columns(
         right.columns, [list(map(column.__getitem__, positions)) for column in right.cells]
     )

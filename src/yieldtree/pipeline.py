@@ -310,8 +310,8 @@ def _screen_dataset(
         if parent is not None:
             keep = ()
             if len(tables[parent]) < len(dataset.tables[parent]):
-                parent_keys = set(tables[parent].keys)
-                keep = [key[: parent + 1] in parent_keys for key in table.keys]
+                parent_ids = set(tables[parent].ancestor_ids(parent))
+                keep = list(map(parent_ids.__contains__, table.ancestor_ids(parent)))
                 table = table.filter_rows(keep)
             stats["orphans_pruned"][level.name.lower()] = len(keep) - sum(keep)
         tables[level] = table
@@ -414,7 +414,7 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
     # --- screens
     dataset, screen_meta = _screen_dataset(dataset, config.screens)
     analysis = dataset.table(GranularityLevel.BATCH)
-    if not analysis.keys:
+    if not len(analysis):
         raise EmptyDatasetError(
             "no batch is left after the screens: "
             f"{screen_meta['missing_dropped'].get('batch', 0)} dropped for missing cells, "
@@ -452,7 +452,7 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
         else:
             values = analysis.values(source)
             if MISSING in values:
-                gap = analysis.keys[values.index(MISSING)]
+                gap = analysis.key(values.index(MISSING))
                 raise DataError(f"target {t.name!r}: {source!r} is missing for batch {gap}")
         histogram_report = targeting.histogram(values, t.histogram_bins)
         try:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Any, ClassVar, Union, get_args
+from itertools import chain, repeat
+from typing import Any, ClassVar, Sequence, Union, get_args
 
 from .errors import UsageError
 from .features import DEFAULT_EPOCH
@@ -252,17 +253,20 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
     k = scenario.rule_min_count
     sites = scenario.sites_per_wafer
 
-    # each level's row keys, and its cells: row by row for the batch table,
-    # the one column of every other table
-    batch_keys, wafer_keys, site_keys, ic_keys = [], [], [], []
+    # each level's cells: row by row for the batch table, the one column of
+    # every other table. Each row's ids are checked once and the key dropped:
+    # a level's key fields are the combinations of its ids, made at the end.
+    check = EntityKey.from_ids
     batch_cells, wafer_rejected, site_values, ic_values = [], [], [], []
+    batch_ids = _zero_padded(scenario.n_batches, 4)
     wafer_ids = _zero_padded(scenario.wafers_per_batch, 2)
     site_ids = _zero_padded(sites, 1)
     ic_ids = _zero_padded(scenario.ics_per_wafer, 3)
+    ic_sites = [site_ids[i % sites] for i in range(len(ic_ids))]
 
-    for b, batch_id in enumerate(_zero_padded(scenario.n_batches, 4)):
+    for b, batch_id in enumerate(batch_ids):
         rng = PortableRandom(derive_seed(scenario.seed, b))
-        batch_keys.append(EntityKey.from_ids((batch_id,)))
+        check((batch_id,))
         timestamp = scenario.batch_start(b)
         machine = str(rng.randint(0, scenario.n_machines - 1))
         operator = str(rng.randint(0, DEFAULT_OPERATORS - 1))
@@ -273,7 +277,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
 
         accepted = 0
         for wafer_id in wafer_ids:
-            wafer_keys.append(EntityKey.from_ids((batch_id, wafer_id)))
+            check((batch_id, wafer_id))
             rejected = rng.random() < p
             if not rejected:
                 accepted += 1
@@ -283,37 +287,45 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
             exceed_count = rng.randint(k, sites) if rejected else rng.randint(0, k - 1)
             exceeding = set(rng.shuffled(range(sites))[:exceed_count])
             for s, site_id in enumerate(site_ids):
-                site_keys.append(EntityKey.from_ids((batch_id, wafer_id, site_id)))
+                check((batch_id, wafer_id, site_id))
                 if s in exceeding:
                     site_values.append(rng.uniform(t + 0.5, t + 5.0))
                 else:
                     site_values.append(rng.uniform(t - 8.0, t - 0.5))
 
-            for i, ic_id in enumerate(ic_ids):
-                ic_keys.append(EntityKey.from_ids((batch_id, wafer_id, site_ids[i % sites], ic_id)))
+            for site_id, ic_id in zip(ic_sites, ic_ids):
+                check((batch_id, wafer_id, site_id, ic_id))
                 ic_values.append(rng.uniform(0.0, 1.0))
 
         batch_yield = 100 * accepted / scenario.wafers_per_batch
         batch_cells.append((timestamp, machine, operator, supplier, oven_temp, humidity, batch_yield))
 
-    # a Table keeps a tuple as it is: swap each list for its tuple in turn, so
-    # every list is freed before the next one is copied
-    lists = [batch_keys, wafer_keys, wafer_rejected, site_keys, site_values, ic_keys, ic_values]
-    del batch_keys, wafer_keys, wafer_rejected, site_keys, site_values, ic_keys, ic_values
-    for i, column in enumerate(lists):
-        lists[i] = tuple(column)
-    batch_keys, wafer_keys, wafer_rejected, site_keys, site_values, ic_keys, ic_values = lists
+    # a Table keeps a tuple as it is: each list is freed before the next is copied
+    wafer_rejected = tuple(wafer_rejected)
+    site_values = tuple(site_values)
+    ic_values = tuple(ic_values)
     tables = {
-        level: Table.from_columns(level, columns, keys, cells)
-        for level, columns, keys, cells in (
-            (GranularityLevel.BATCH, BATCH_COLUMNS, batch_keys, zip(*batch_cells)),
-            (GranularityLevel.WAFER, WAFER_COLUMNS, wafer_keys, [wafer_rejected]),
-            (GranularityLevel.SITE, _site_columns(scenario), site_keys, [site_values]),
-            (GranularityLevel.IC, IC_COLUMNS, ic_keys, [ic_values]),
-        )
-        if keys  # no IC table when the scenario has no ICs
+        GranularityLevel.BATCH: (BATCH_COLUMNS, _combinations(batch_ids), zip(*batch_cells)),
+        GranularityLevel.WAFER: (WAFER_COLUMNS, _combinations(batch_ids, wafer_ids), [wafer_rejected]),
+        GranularityLevel.SITE: (
+            _site_columns(scenario), _combinations(batch_ids, wafer_ids, site_ids), [site_values]
+        ),
     }
-    return HierarchicalDataset(tables)
+    if ic_ids:  # no IC table when the scenario has no ICs
+        ic_fields = _combinations(batch_ids, wafer_ids, ic_sites) + [tuple(ic_ids) * len(wafer_rejected)]
+        tables[GranularityLevel.IC] = (IC_COLUMNS, ic_fields, [ic_values])
+    return HierarchicalDataset({level: Table.from_columns(level, *parts) for level, parts in tables.items()})
+
+
+def _combinations(*ids: Sequence[str]) -> list[tuple[str, ...]]:
+    """The key fields of every combination of the ids, one per sequence, in
+    the order of nested loops over them: the rows of a generated table."""
+    fields, outer, inner = [], 1, math.prod(map(len, ids))
+    for level_ids in ids:
+        inner //= len(level_ids)
+        fields.append(tuple(chain.from_iterable(map(repeat, level_ids, repeat(inner)))) * outer)
+        outer *= len(level_ids)
+    return fields
 
 
 @dataclass(frozen=True)

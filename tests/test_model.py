@@ -197,14 +197,13 @@ class TestTable:
         x, y = Column("x", ColumnKind.NUMERIC), Column("y", ColumnKind.CATEGORICAL)
         rows = (Row(batch_key("b2"), (2.0, "a")), Row(batch_key("b1"), (1.0, "b")))
         from_rows = Table(BATCH, [x, y], rows)
-        from_columns = Table.from_columns(
-            BATCH, (x, y), [batch_key("b2"), batch_key("b1")], [[2.0, 1.0], ("a", "b")]
-        )
+        from_columns = Table.from_columns(BATCH, (x, y), [["b2", "b1"]], [[2.0, 1.0], ("a", "b")])
         assert from_rows == from_columns
         assert from_rows.rows == from_columns.rows == rows
         assert from_columns.keys == (batch_key("b2"), batch_key("b1"))
+        assert from_columns.key_fields == (("b2", "b1"),)
         assert from_columns.cells == ((2.0, 1.0), ("a", "b"))
-        assert Table(BATCH, (x,), ()) == Table.from_columns(BATCH, (x,), (), [()])
+        assert Table(BATCH, (x,), ()) == Table.from_columns(BATCH, (x,), [()], [()])
 
     def test_zero_column_table_keeps_its_rows(self):
         keys = tuple(batch_key(f"b{i}") for i in range(3))
@@ -218,13 +217,15 @@ class TestTable:
 
     def test_column_length_checked_on_the_column_path(self):
         col = Column("x", ColumnKind.NUMERIC)
-        keys = (batch_key("b1"), batch_key("b2"))
+        key_fields = [("b1", "b2")]
         with pytest.raises(UsageError, match="column 'x' has 1 cells for 2 rows"):
-            Table.from_columns(BATCH, (col,), keys, [(1.0,)])
+            Table.from_columns(BATCH, (col,), key_fields, [(1.0,)])
         with pytest.raises(UsageError, match="0 cell columns for 1 columns"):
-            Table.from_columns(BATCH, (col,), keys, [])
-        with pytest.raises(UsageError, match="is at WAFER, table is BATCH"):
-            Table.from_columns(BATCH, (), (wafer_key("b1", "w1"),), [])
+            Table.from_columns(BATCH, (col,), key_fields, [])
+        with pytest.raises(UsageError, match="2 key fields for a BATCH table"):
+            Table.from_columns(BATCH, (), [("b1",), ("w1",)], [])
+        with pytest.raises(UsageError, match="key field wafer_id has 1 ids for 2 rows"):
+            Table.from_columns(WAFER, (), [("b1", "b1"), ("w1",)], [])
 
 
 class TestLabeledDataset:
@@ -430,3 +431,80 @@ class TestJoinTables:
         right = Table(WAFER, (), (Row(wafer_key("b1", "w1"), ()),))
         with pytest.raises(UsageError, match="cannot join BATCH table with WAFER table"):
             join_tables(left, right)
+
+
+def random_keys(rng, level, rows):
+    """Keys at `level` in random order, over small id pools so that ancestors
+    and whole keys repeat."""
+    pools = [[f"{name[0]}{i}" for i in range(rng.randint(1, 4))] for name in level.key_fields]
+    return [EntityKey.from_ids(tuple(map(rng.choice, pools))) for _ in range(rows)]
+
+
+def fields_of(keys, level):
+    return list(zip(*keys)) or [()] * (level + 1)
+
+
+class TestKeyFields:
+    """A table keeps its ids by key field; each operation gives the keys and
+    positions that a brute-force reference over per-row keys gives."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_operations_match_per_row_keys(self, seed):
+        rng = random.Random(seed)
+        level = GranularityLevel(rng.randint(0, 3))
+        keys = random_keys(rng, level, rng.randint(0, 40))
+        x, y, z = (Column(name, ColumnKind.NUMERIC) for name in "xyz")
+        values = [float(i) for i in range(len(keys))]
+        table = Table.from_columns(level, (x,), fields_of(keys, level), [values])
+        assert table.key_fields == tuple(map(tuple, fields_of(keys, level)))
+        assert table.keys == tuple(keys) and {type(key) for key in table.keys} <= {EntityKey}
+        assert [table.key(i) for i in range(len(keys))] == keys
+        assert table == Table(level, (x,), [Row(key, (value,)) for key, value in zip(keys, values)])
+
+        keep = [rng.random() < 0.6 for _ in keys]
+        assert list(table.filter_rows(keep).keys) == [key for key, kept in zip(keys, keep) if kept]
+        grown = table.with_added_columns([y], [values])
+        assert grown.keys == tuple(keys) and grown.without_columns(["x"]).keys == tuple(keys)
+
+        for ancestor in GranularityLevel:
+            if ancestor >= level:
+                continue
+            groups = group_by_ancestor(table, ancestor)
+            prefixes = sorted({key[: ancestor + 1] for key in keys})
+            assert list(groups) == prefixes and {type(key) for key in groups} <= {EntityKey}
+            for prefix, positions in groups.items():
+                assert list(positions) == [i for i, key in enumerate(keys) if key[: ancestor + 1] == prefix]
+
+        left = table.filter_rows([keys.index(key) == i for i, key in enumerate(keys)])
+        right_keys = rng.sample(list(left.keys), len(left))
+        right_values = [rng.random() for _ in right_keys]
+        right = Table.from_columns(level, (z,), fields_of(right_keys, level), [right_values])
+        joined = join_tables(left, right)
+        assert joined.keys == left.keys
+        assert joined.values("z") == [right_values[right_keys.index(key)] for key in left.keys]
+
+
+class TestValidateSparseIds:
+    """Ids that are serials, distinct across every parent, make the key codes
+    far sparser than a table's rows, so they are marked in a dict rather
+    than in a byte per possible code; the report is the same."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("planted", [True, False], ids=["defects", "clean"])
+    def test_report_matches_the_reference(self, seed, planted):
+        rng = random.Random(seed)
+        batches = [(f"b{i}",) for i in range(80)]
+        wafers = [(b, f"w{b}{j}") for b, in batches for j in range(rng.randint(1, 3))]
+        sites = [(b, w, f"s{w}{k}") for b, w in wafers for k in range(rng.randint(1, 3))]
+        if planted:
+            wafers.append(("ghost", "wx"))
+            sites += [("b0", "wlost", "sx"), rng.choice(sites)]
+        rng.shuffle(sites)
+        dataset = HierarchicalDataset({
+            level: Table(level, (), [Row(EntityKey.from_ids(ids), ()) for ids in keys])
+            for level, keys in ((BATCH, batches), (WAFER, wafers), (SITE, sites))
+        })
+        report = validate_hierarchy(dataset)
+        duplicates, orphans = reference_violations(dataset)
+        assert bool(duplicates) is bool(orphans) is planted
+        assert [(v.kind, v.level, v.key, v.detail) for v in report.violations] == duplicates + orphans

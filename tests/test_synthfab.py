@@ -1,6 +1,7 @@
 import math
 import re
 import statistics
+import tracemalloc
 from datetime import datetime, timedelta
 
 import pytest
@@ -10,7 +11,7 @@ from yieldtree.errors import UsageError
 from yieldtree.features import order_from_batch_id
 from yieldtree.ingest import read_dataset, table_schema, write_dataset
 from yieldtree.lift import lift_reject_rate
-from yieldtree.model import validate_hierarchy
+from yieldtree.model import EntityKey, validate_hierarchy
 from yieldtree.synthfab import (
     CyclicEffect,
     FabScenario,
@@ -279,3 +280,49 @@ class TestExportRoundTrip:
         write_dataset(dataset, tmp_path)
         schemas = [table_schema(dataset.tables[level]) for level in dataset.levels]
         assert read_dataset(tmp_path, schemas) == dataset
+
+
+class TestGeneratedKeys:
+    @pytest.mark.parametrize("seed, ics", [(0, 0), (1, 3), (2, 0)])
+    def test_one_key_check_per_generated_row(self, monkeypatch, seed, ics):
+        """Each generated row's ids pass EntityKey's check exactly once, in row
+        order within its level, and reading the key and row views of the
+        tables checks nothing more."""
+        checked = []
+        check = EntityKey.__post_init__
+
+        def counted(key):
+            checked.append(key)
+            check(key)
+
+        monkeypatch.setattr(EntityKey, "__post_init__", counted)
+        dataset = generate(FabScenario(seed=seed, n_batches=7, wafers_per_batch=3, ics_per_wafer=ics))
+        tables = dataset.tables.values()
+        assert len(checked) == sum(map(len, tables))
+        for table in tables:
+            assert [key for key in checked if len(key) == table.level + 1] == list(table.keys)
+        count = len(checked)
+        for table in tables:
+            assert table.rows and table.keys and table.key(0) == table.keys[0]
+        assert len(checked) == count
+
+    def test_site_keys_cost_eight_bytes_per_field_per_row(self):
+        """A generated site table holds its keys as three tuples of shared ids:
+        dropping it, with its cells kept, frees at most 8 bytes per field and
+        row, plus a small constant."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            dataset = generate(FabScenario(seed=3, n_batches=100))
+            site = dataset.tables[SITE]
+            kept, rows = [dataset.tables[BATCH], dataset.tables[WAFER], site.columns, site.cells], len(site)
+            del dataset
+            size = tracemalloc.get_traced_memory()[0]
+            del site
+            freed = size - tracemalloc.get_traced_memory()[0]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert rows == 12_000 and kept
+        assert freed <= 8 * 3 * rows + 2048
