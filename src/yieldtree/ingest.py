@@ -353,10 +353,12 @@ def load_dataset(specs: list[tuple[str | Path, TableSchema]]) -> HierarchicalDat
 
 
 def drop_missing(table: Table) -> tuple[Table, int]:
-    """Drop every row that has at least one missing cell."""
+    """Drop every row that has at least one missing cell; a table with no
+    missing cell comes back as itself."""
     gaps = [column for column in table.cells if MISSING in column]
-    keep = [MISSING not in cells for cells in zip(*gaps)] if gaps else [True] * len(table)
-    kept = table.filter_rows(keep)
+    if not gaps:
+        return table, 0
+    kept = table.filter_rows(bytes(MISSING not in cells for cells in zip(*gaps)))
     return kept, len(table) - len(kept)
 
 
@@ -365,8 +367,9 @@ def apply_sensor_limits(
 ) -> tuple[Table, list[tuple[EntityKey, str, float]]]:
     """Discard rows with any cell strictly outside its column's limits.
 
-    Boundary values (exactly lo or hi) are kept. Returns the kept table and
-    one flag per violating cell of each discarded row.
+    Boundary values (exactly lo or hi) are kept. Returns the kept table (the
+    table itself if no row is discarded) and one flag per violating cell of
+    each discarded row.
     """
     limited = [
         (i, col.name, col.sensor_limits)
@@ -384,8 +387,9 @@ def apply_sensor_limits(
         for r, value in enumerate(table.cells[i])
         if value is not MISSING and not lo <= value <= hi
     )
-    dropped = {hit[0] for hit in hits}
-    keep = [r not in dropped for r in range(len(table))]
+    keep = bytearray(b"\x01") * len(table)
+    for hit in hits:
+        keep[hit[0]] = 0
     return table.filter_rows(keep), [(table.key(r), c, v) for r, _, c, v in hits]
 
 

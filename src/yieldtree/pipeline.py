@@ -5,8 +5,10 @@ The config is a single JSON document (see README for the annotated schema).
 Reruns with identical config and inputs produce byte-identical artifacts:
 the manifest carries no timestamps, JSON is written with sorted keys, and
 every stage is deterministic. Every stage runs before the first artifact is
-written; a run that fails writes nothing. The input tables are freed before
-the correlation screen; the result keeps the batch-level tables.
+written; a run that fails writes nothing. The screens take over the input
+tables, so each is freed once its first screened copy is built; the screened
+tables are freed once every target's values are read, before the correlation
+screen; the result keeps the batch-level tables.
 """
 
 from __future__ import annotations
@@ -286,20 +288,24 @@ class RunResult:
 
 
 def _screen_dataset(
-    dataset: HierarchicalDataset, settings: ScreenSettings
+    tables: dict[GranularityLevel, Table], settings: ScreenSettings
 ) -> tuple[HierarchicalDataset, dict]:
     """Each table screened, coarse to fine, and pruned of the rows whose
     parent row was dropped: a dropped ancestor takes its descendants with it.
 
-    The dataset must have passed `validate_hierarchy`, which proves every
-    parent present, so a table below an unshrunk parent table is not checked.
+    Takes over `tables`: each level's table is popped, screened and stored
+    back, so an input table held nowhere else is freed once its first
+    screened copy is built (the run frees the screened tables once every
+    target's values are read). The tables must have passed
+    `validate_hierarchy`, which proves every parent present, so a table below
+    a parent table that the screens left whole is not checked.
     """
     stats: dict[str, dict[str, int]] = {"missing_dropped": {}, "limit_dropped": {}, "orphans_pruned": {}}
     flags = 0
-    tables: dict[GranularityLevel, Table] = {}
-    levels = dataset.levels
+    levels = sorted(tables)
+    rows_before = {level: len(table) for level, table in tables.items()}
     for parent, level in zip((None, *levels), levels):
-        table = dataset.tables[level]
+        table = tables.pop(level)
         if settings.drop_missing:
             table, dropped = ingest.drop_missing(table)
             stats["missing_dropped"][level.name.lower()] = dropped
@@ -308,10 +314,11 @@ def _screen_dataset(
             stats["limit_dropped"][level.name.lower()] = len({f[0] for f in flagged})
             flags += len(flagged)
         if parent is not None:
-            keep = ()
-            if len(tables[parent]) < len(dataset.tables[parent]):
+            keep = b""
+            if len(tables[parent]) < rows_before[parent]:
                 parent_ids = set(tables[parent].ancestor_ids(parent))
-                keep = list(map(parent_ids.__contains__, table.ancestor_ids(parent)))
+                keep = bytes(map(parent_ids.__contains__, table.ancestor_ids(parent)))
+                del parent_ids  # freed before the pruned copy is built
                 table = table.filter_rows(keep)
             stats["orphans_pruned"][level.name.lower()] = len(keep) - sum(keep)
         tables[level] = table
@@ -412,7 +419,10 @@ def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
         raise DataError(f"hierarchy validation failed: {details}")
 
     # --- screens
-    dataset, screen_meta = _screen_dataset(dataset, config.screens)
+    tables = dataset.tables
+    del dataset  # the screens take over the input tables
+    dataset, screen_meta = _screen_dataset(tables, config.screens)
+    del tables
     analysis = dataset.table(GranularityLevel.BATCH)
     if not len(analysis):
         raise EmptyDatasetError(

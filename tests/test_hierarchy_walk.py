@@ -7,11 +7,14 @@ IC table, so the prefix walk must agree on order, on text and on counts.
 """
 
 import random
+import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import BATCH, IC, SITE, WAFER, traced_peak_share
+from yieldtree import ingest
 from yieldtree.errors import DataError
 from yieldtree.lift import broadcast_down
 from yieldtree.model import (
@@ -221,7 +224,7 @@ def _blank_some_cells(dataset, rng):
 def test_cascade_prune_counts_match_reference(seed, levels):
     rng = random.Random(seed)
     dataset = _blank_some_cells(random_dataset(rng, levels, orphans=False), rng)
-    screened, stats = _screen_dataset(dataset, ScreenSettings(sensor_limits=False))
+    screened, stats = _screen_dataset(dict(dataset.tables), ScreenSettings(sensor_limits=False))
     survivors = {
         level: table.filter_rows([r.cells[0] is not MISSING for r in table.rows])
         for level, table in dataset.tables.items()
@@ -236,8 +239,64 @@ def test_cascade_fixtures_prune_at_every_level():
     for seed in SEEDS:
         rng = random.Random(seed)
         dataset = _blank_some_cells(random_dataset(rng, orphans=False), rng)
-        totals.update(_screen_dataset(dataset, ScreenSettings(sensor_limits=False))[1]["orphans_pruned"])
+        totals.update(_screen_dataset(dict(dataset.tables), ScreenSettings(sensor_limits=False))[1]["orphans_pruned"])
     assert set(totals) == {"wafer", "site", "ic"} and all(totals.values())
+
+
+def _limit_top_value(dataset):
+    """Limit each table's one column to all but its highest value (the cells
+    are the row numbers 0..n-1), so the limit screen drops a row at every level."""
+    tables = {}
+    for level, table in dataset.tables.items():
+        column = replace(table.columns[0], sensor_limits=(-1.0, len(table) - 1.5))
+        tables[level] = Table(level, (column,), table.rows)
+    return HierarchicalDataset(tables)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_screens_free_each_input_table_once_it_is_copied(seed, monkeypatch):
+    """Handed over, each input table is dead before the limit screen runs on
+    its level whenever the missing screen dropped a row there (else the limit
+    screen gets the input itself), and the result still matches the reference."""
+    rng = random.Random(seed)
+    dataset = _limit_top_value(_blank_some_cells(random_dataset(rng, orphans=False), rng))
+    hi = {level: table.columns[0].sensor_limits[1] for level, table in dataset.tables.items()}
+    gaps = {level: table.cells[0].count(MISSING) for level, table in dataset.tables.items()}
+    over = {level: sum(v is not MISSING and v > hi[level] for v in table.cells[0]) for level, table in dataset.tables.items()}
+    survivors = {
+        level: Table(level, table.columns, tuple(r for r in table.rows if r.cells[0] is not MISSING and r.cells[0] <= hi[level]))
+        for level, table in dataset.tables.items()
+    }
+    pruned, expected = reference_cascade(survivors)
+    inputs = {level: weakref.ref(table) for level, table in dataset.tables.items()}
+    tables = dict(dataset.tables)
+    del dataset
+
+    screened_inputs = []
+    limit_screen = ingest.apply_sensor_limits
+
+    def checked(table):
+        alive = inputs[table.level]()
+        screened_inputs.append(table.level)
+        assert alive is None if gaps[table.level] else alive is table
+        return limit_screen(table)
+
+    monkeypatch.setattr(ingest, "apply_sensor_limits", checked)
+    screened, stats = _screen_dataset(tables, ScreenSettings())
+    assert screened_inputs == sorted(inputs)
+    assert stats["missing_dropped"] == {level.name.lower(): n for level, n in gaps.items()}
+    assert stats["limit_dropped"] == {level.name.lower(): n for level, n in over.items()}
+    assert stats["orphans_pruned"] == pruned
+    assert screened.tables == expected
+
+
+def test_hand_over_fixtures_free_an_input_at_every_level():
+    levels_with_gaps = set()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        dataset = _blank_some_cells(random_dataset(rng, orphans=False), rng)
+        levels_with_gaps.update(level for level, table in dataset.tables.items() if MISSING in table.cells[0])
+    assert levels_with_gaps == {BATCH, WAFER, SITE, IC}
 
 
 def reference_broadcast(dataset, column, from_level, to_level):

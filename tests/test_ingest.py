@@ -303,6 +303,32 @@ class TestSensorLimits:
         assert more == [] and again == kept
 
 
+class TestScreensReturnTheirInput:
+    """A screen that drops nothing hands back the very table it was given,
+    not an equal copy, so a screened dataset costs no memory where it is clean."""
+
+    def test_complete_table(self):
+        table = numeric_table(BATCH, "x", [(batch_key(f"b{i}"), float(i)) for i in range(10)],
+                              sensor_limits=(0.0, 9.0))
+        kept, dropped = drop_missing(table)
+        assert kept is table and dropped == 0
+        assert apply_sensor_limits(table)[0] is table
+
+    def test_limited_column_within_its_limits(self):
+        columns = (Column("x", ColumnKind.NUMERIC, sensor_limits=(0.0, 1.0)),
+                   Column("y", ColumnKind.NUMERIC))
+        cells = [(0.0, 5.0), (MISSING, 6.0), (1.0, 7.0)]
+        table = Table(BATCH, columns, tuple(Row(batch_key(f"b{i}"), c) for i, c in enumerate(cells)))
+        kept, flagged = apply_sensor_limits(table)
+        assert kept is table and flagged == []
+
+    def test_no_limited_column(self):
+        table = numeric_table(BATCH, "x", [(batch_key("b0"), 1e9), (batch_key("b1"), MISSING)])
+        kept, flagged = apply_sensor_limits(table)
+        assert kept is table and flagged == []
+        assert drop_missing(table)[0] is not table
+
+
 class TestRoundTrip:
     def test_write_then_load_reproduces_table(self, tmp_path):
         columns = (

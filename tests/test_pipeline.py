@@ -608,7 +608,7 @@ class TestScreensAndCascade:
         dataset = build_hierarchy({"b1": {"w1": [1.0, 2.0], "w2": [3.0]}, "b2": {"w1": [4.0]}})
         limited = (Column("x", ColumnKind.NUMERIC, sensor_limits=(0.0, 5.0)),)
         dataset = dataset.with_table(Table(SITE, limited, dataset.tables[SITE].rows))
-        screened, stats = _screen_dataset(dataset, ScreenSettings())
+        screened, stats = _screen_dataset(dict(dataset.tables), ScreenSettings())
         assert stats["limit_flags"] == 0
         assert all(screened.tables[level] is dataset.tables[level] for level in dataset.levels)
 
