@@ -15,9 +15,6 @@ candidate order, tie-breaks and every float expression are those of sorting
 each node's rows afresh.
 
 `DecisionTree.leaves`, `tested_columns` and `extract_rules` read one tree walk.
-
-No function here is a closure that calls itself: that is a reference cycle,
-and run_pipeline pauses the cyclic collector that would free it.
 """
 
 from __future__ import annotations

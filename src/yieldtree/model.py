@@ -383,21 +383,16 @@ class ValidationReport:
         return self.duplicates + self.orphans
 
 
-def _key_codes(fields: Sequence[Sequence[str]], codes: Sequence[Mapping[str, int]],
-               weighted: dict[tuple[int, int], Mapping[str, int]]) -> Iterable[int]:
+def _key_codes(fields: Sequence[Sequence[str]], codes: Sequence[Mapping[str, int]]) -> Iterable[int]:
     """Each row's ids as one int, in row order, in mixed radix: the sum of each
-    id's code times the number of codes of every finer field. `weighted` holds
-    each field's codes times a weight, built once per (field, weight)."""
+    id's code times the number of codes of every finer field."""
     rows, weight = None, 1
-    for i in reversed(range(len(fields))):
-        code = codes[i]
+    for ids, code in zip(reversed(fields), reversed(codes[: len(fields)])):
         if weight > 1:
-            if (i, weight) not in weighted:
-                weighted[i, weight] = {name: digit * weight for name, digit in code.items()}
-            code = weighted[i, weight]
-        digits = map(code.__getitem__, fields[i])
+            code = {name: digit * weight for name, digit in code.items()}
+        digits = map(code.__getitem__, ids)
         rows = digits if rows is None else map(add, rows, digits)
-        weight *= len(codes[i])
+        weight *= len(code)
     return rows
 
 
@@ -431,19 +426,18 @@ def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
     for i in range(4):
         ids = dict.fromkeys(chain.from_iterable(t.key_fields[i] for t in tables if t.level >= i))
         codes.append(dict(zip(ids, count())))
-    weighted: dict[tuple[int, int], Mapping[str, int]] = {}
     coarser: list[tuple[GranularityLevel, Callable[[int], Any]]] = []
     for table in tables:
         fields, level = table.key_fields, table.level
         marks = repeat(1)
         if coarser:
             parent, has_parent = coarser[-1]
-            marks = map(has_parent, _key_codes(fields[: parent + 1], codes, weighted))
-        has, clean = _mark(_key_codes(fields, codes, weighted), marks, prod(map(len, codes[: len(fields)])), len(table))
+            marks = map(has_parent, _key_codes(fields[: parent + 1], codes))
+        has, clean = _mark(_key_codes(fields, codes), marks, prod(map(len, codes[: len(fields)])), len(table))
         if clean < len(table) or duplicates or orphans:
             seen: set[int] = set()
-            ancestors = [_key_codes(fields[: parent + 1], codes, weighted) for parent, _ in coarser]
-            for key, code, *ancestor_codes in zip(table.keys, _key_codes(fields, codes, weighted), *ancestors):
+            ancestors = [_key_codes(fields[: parent + 1], codes) for parent, _ in coarser]
+            for key, code, *ancestor_codes in zip(table.keys, _key_codes(fields, codes), *ancestors):
                 if code in seen:
                     duplicates.append(Violation("duplicate", level, key, f"key {key} occurs more than once"))
                 seen.add(code)

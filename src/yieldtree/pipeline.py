@@ -13,7 +13,6 @@ screen; the result keeps the batch-level tables.
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import asdict, dataclass
 from datetime import date, datetime
@@ -385,21 +384,7 @@ def run_pipeline(config: PipelineConfig, report_only: bool = False) -> RunResult
 
     report_only stops after the analyst-facing reports (histogram, series,
     correlation, threshold preview): no labeling, training, rules or tree.
-
-    The run pauses the cyclic garbage collector (for every thread) and
-    restores the caller's setting on return or raise. The pipeline's data
-    hold no reference cycles, so reference counting frees them.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run_pipeline(config, report_only)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _run_pipeline(config: PipelineConfig, report_only: bool) -> RunResult:
     # --- input
     if config.scenario is not None:
         dataset = synthfab.generate(config.scenario)

@@ -4,6 +4,7 @@ import gc
 import json
 import re
 import weakref
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -1309,77 +1310,39 @@ class TestRunResult:
         assert len(site_tables) == 1 and freed_at_train and all(freed_at_train)
 
 
-class TestCollectorPause:
-    """run_pipeline pauses the cyclic collector and hands back the caller's
-    state; that is safe only while a run makes no reference cycles."""
+class TestCollector:
+    """A run leaves Python's cyclic collector alone and makes no reference
+    cycles of its own."""
 
-    @pytest.fixture
-    def collector(self):
-        """Sets the collector on or off for the test and restores it afterwards."""
-        enabled = gc.isenabled()
-        yield lambda on: gc.enable() if on else gc.disable()
-        if enabled:
-            gc.enable()
+    @pytest.mark.parametrize("raises", [False, True], ids=["clean", "raising"])
+    def test_a_run_makes_no_call_to_the_collector(self, tmp_path, monkeypatch, raises):
+        if raises:
+            write_shuffled_csvs(tmp_path / "data")
+            doc = csv_config()
+            doc["targets"] = [{"name": "x_problem", "problem": X_RULE, "strategy": "median",
+                               "direction": "above", "grey_half_width": 2.0}]
+            outcome = pytest.raises(AnalysisError, match="deleted every class-0 row")
         else:
-            gc.disable()
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_state_is_restored(self, tmp_path, collector, enabled):
-        collector(enabled)
-        run_config(base_config(tmp_path / "out", n_batches=30))
-        assert gc.isenabled() is enabled
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_state_is_restored_when_the_run_raises(self, tmp_path, collector, enabled):
-        write_shuffled_csvs(tmp_path / "data")
-        doc = csv_config()
-        doc["targets"] = [{"name": "x_problem", "problem": X_RULE, "strategy": "median",
-                           "direction": "above", "grey_half_width": 2.0}]
-        collector(enabled)
-        with pytest.raises(AnalysisError, match="deleted every class-0 row"):
+            doc, outcome = base_config(tmp_path / "out", n_batches=30), nullcontext()
+        calls = []
+        for name in ("disable", "enable", "freeze", "unfreeze", "collect", "set_threshold"):
+            monkeypatch.setattr(gc, name, lambda *args, name=name, **kwargs: calls.append(name))
+        with outcome:
             run_config(doc, tmp_path)
-        assert gc.isenabled() is enabled
+        assert calls == []
 
-    def test_objects_the_caller_froze_stay_frozen(self, tmp_path):
-        gc.freeze()
-        try:
-            frozen = gc.get_freeze_count()
-            run_config(base_config(tmp_path / "out", n_batches=30))
-            assert frozen > 0 and gc.get_freeze_count() == frozen
-        finally:
-            gc.unfreeze()
-
-    def test_objects_the_caller_made_are_not_moved_to_the_oldest_generation(
-        self, tmp_path, collector
-    ):
-        collector(True)
-        gc.collect()  # no collection older than the youngest is due after the run
-        made = []
-        run_config(base_config(tmp_path / "out", n_batches=30))
-        assert id(made) not in map(id, gc.get_objects(generation=2))
-
-    def test_a_young_collection_after_a_run_finds_every_cycle_the_run_left(self, tmp_path, collector):
-        collector(True)
+    @pytest.mark.parametrize("source", ["scenario", "csv"])
+    def test_a_run_leaves_no_yieldtree_object_in_a_cycle(self, tmp_path, source):
+        if source == "csv":
+            write_shuffled_csvs(tmp_path / "data")
+            doc = csv_config()
+        else:
+            doc = scenario_config()
         gc.collect()  # garbage from before the run is freed, not saved
         flags = gc.get_debug()
         gc.set_debug(flags | gc.DEBUG_SAVEALL)
         try:
-            run_config(base_config(tmp_path / "out", n_batches=30))
-            gc.collect(0)  # saves json.encoder cycles where json.dumps(indent=2) runs in Python
-            young = len(gc.garbage)
-            gc.collect()
-            older = [type(obj).__name__ for obj in gc.garbage[young:]]
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
-        assert older == []
-
-    def test_a_run_leaves_no_yieldtree_object_in_a_cycle(self, tmp_path):
-        gc.collect()  # garbage from before the run is freed, not saved
-        flags = gc.get_debug()
-        gc.set_debug(flags | gc.DEBUG_SAVEALL)
-        try:
-            run_config(scenario_config(), tmp_path)
+            run_config(doc, tmp_path)
             gc.collect()
             cyclic = [
                 obj for obj in gc.garbage
