@@ -1314,6 +1314,42 @@ class TestCollector:
     """A run leaves Python's cyclic collector alone and makes no reference
     cycles of its own."""
 
+    @pytest.fixture
+    def collector(self):
+        """Sets the collector on or off for the test and restores it afterwards."""
+        enabled = gc.isenabled()
+        yield lambda on: gc.enable() if on else gc.disable()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, tmp_path, collector, enabled):
+        collector(enabled)
+        run_config(base_config(tmp_path / "out", n_batches=30))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored_when_the_run_raises(self, tmp_path, collector, enabled):
+        write_shuffled_csvs(tmp_path / "data")
+        doc = csv_config()
+        doc["targets"] = [{"name": "x_problem", "problem": X_RULE, "strategy": "median",
+                           "direction": "above", "grey_half_width": 2.0}]
+        collector(enabled)
+        with pytest.raises(AnalysisError, match="deleted every class-0 row"):
+            run_config(doc, tmp_path)
+        assert gc.isenabled() is enabled
+
+    def test_objects_the_caller_froze_stay_frozen(self, tmp_path):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_config(base_config(tmp_path / "out", n_batches=30))
+            assert frozen > 0 and gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
     @pytest.mark.parametrize("raises", [False, True], ids=["clean", "raising"])
     def test_a_run_makes_no_call_to_the_collector(self, tmp_path, monkeypatch, raises):
         if raises:
