@@ -376,8 +376,6 @@ def apply_sensor_limits(
         for i, col in enumerate(table.columns)
         if col.sensor_limits is not None
     ]
-    if not limited:
-        return table, []
 
     # every violating cell, scanned one limited column at a time, sorted back
     # to row order and, within a row, to column order

@@ -384,15 +384,11 @@ class ValidationReport:
 
 
 def _key_codes(fields: Sequence[Sequence[str]], codes: Sequence[Mapping[str, int]]) -> Iterable[int]:
-    """Each row's ids as one int, in row order, in mixed radix: the sum of each
-    id's code times the number of codes of every finer field."""
-    rows, weight = None, 1
-    for ids, code in zip(reversed(fields), reversed(codes[: len(fields)])):
-        if weight > 1:
-            code = {name: digit * weight for name, digit in code.items()}
-        digits = map(code.__getitem__, ids)
-        rows = digits if rows is None else map(add, rows, digits)
-        weight *= len(code)
+    """Each row's ids as one int, in row order: the sum of its ids' codes (one
+    code dict per key field), so a prefix's code is that sum over fewer fields."""
+    rows = map(codes[0].__getitem__, fields[0])
+    for ids, code in zip(fields[1:], codes[1:]):
+        rows = map(add, rows, map(code.__getitem__, ids))
     return rows
 
 
@@ -413,19 +409,23 @@ def _mark(codes: Iterable[int], marks: Iterable[int], size: int,
 def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
     """Report every orphan child key and every duplicate key in the dataset.
 
-    A key is checked as one int, its ids' codes in mixed radix (one code per
-    distinct id of a key field), so no tuple is kept per row. Coarse to fine:
+    A key is checked as one int in mixed radix, so no tuple is kept per row:
+    each key field is numbered once, and an id's code is its digit (one per
+    distinct id of the field) times the number of distinct ids of every
+    coarser field; a key's code is the sum of its ids' codes. Coarse to fine:
     while every coarser table is clean, one pass of C builtins proves a table
     clean by marking each row's code with whether its ancestor is in the
-    nearest coarser table. Any other table is walked; only the walk builds keys.
+    nearest coarser table. Any other table is walked; the walk builds only
+    the keys of the rows it reports.
     """
     duplicates: list[Violation] = []
     orphans: list[Violation] = []
     tables = [dataset.tables[level] for level in dataset.levels]
-    codes = []  # one int per distinct id of each key field
+    codes, weight = [], 1  # one code dict per key field, the coarsest its lowest digit
     for i in range(4):
         ids = dict.fromkeys(chain.from_iterable(t.key_fields[i] for t in tables if t.level >= i))
-        codes.append(dict(zip(ids, count())))
+        codes.append(dict(zip(ids, count(0, weight))))
+        weight *= len(ids)
     coarser: list[tuple[GranularityLevel, Callable[[int], Any]]] = []
     for table in tables:
         fields, level = table.key_fields, table.level
@@ -437,12 +437,14 @@ def validate_hierarchy(dataset: HierarchicalDataset) -> ValidationReport:
         if clean < len(table) or duplicates or orphans:
             seen: set[int] = set()
             ancestors = [_key_codes(fields[: parent + 1], codes) for parent, _ in coarser]
-            for key, code, *ancestor_codes in zip(table.keys, _key_codes(fields, codes), *ancestors):
+            for position, (code, *ancestor_codes) in enumerate(zip(_key_codes(fields, codes), *ancestors)):
                 if code in seen:
+                    key = table.key(position)
                     duplicates.append(Violation("duplicate", level, key, f"key {key} occurs more than once"))
                 seen.add(code)
                 for (parent, has_parent), ancestor in zip(coarser, ancestor_codes):
                     if not has_parent(ancestor):
+                        key = table.key(position)
                         detail = f"row {key} has no {parent.name} ancestor {key.ancestor(parent)}"
                         orphans.append(Violation("orphan", level, key, detail))
             has = seen.__contains__

@@ -309,8 +309,9 @@ def _screen_dataset(
             table, dropped = ingest.drop_missing(table)
             stats["missing_dropped"][level.name.lower()] = dropped
         if settings.sensor_limits:
+            rows = len(table)
             table, flagged = ingest.apply_sensor_limits(table)
-            stats["limit_dropped"][level.name.lower()] = len({f[0] for f in flagged})
+            stats["limit_dropped"][level.name.lower()] = rows - len(table)
             flags += len(flagged)
         if parent is not None:
             keep = b""

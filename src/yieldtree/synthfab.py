@@ -15,6 +15,7 @@ plus one entry in PlantedEffect.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain, repeat
@@ -254,19 +255,12 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
     sites = scenario.sites_per_wafer
 
     # each level's cells: row by row for the batch table, the one column of
-    # every other table. Each row's ids are checked once and the key dropped:
-    # a level's key fields are the combinations of its ids, made at the end.
-    check = EntityKey.from_ids
+    # every other table. The loops only draw numbers: a level's key fields are
+    # the combinations of its ids, made after them, and each row's ids are
+    # checked once, one level at a time in row order, and the key dropped.
     batch_cells, wafer_rejected, site_values, ic_values = [], [], [], []
-    batch_ids = _zero_padded(scenario.n_batches, 4)
-    wafer_ids = _zero_padded(scenario.wafers_per_batch, 2)
-    site_ids = _zero_padded(sites, 1)
-    ic_ids = _zero_padded(scenario.ics_per_wafer, 3)
-    ic_sites = [site_ids[i % sites] for i in range(len(ic_ids))]
-
-    for b, batch_id in enumerate(batch_ids):
+    for b in range(scenario.n_batches):
         rng = PortableRandom(derive_seed(scenario.seed, b))
-        check((batch_id,))
         timestamp = scenario.batch_start(b)
         machine = str(rng.randint(0, scenario.n_machines - 1))
         operator = str(rng.randint(0, DEFAULT_OPERATORS - 1))
@@ -276,8 +270,7 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
         p = _reject_probability(scenario, timestamp, machine, supplier)
 
         accepted = 0
-        for wafer_id in wafer_ids:
-            check((batch_id, wafer_id))
+        for _ in range(scenario.wafers_per_batch):
             rejected = rng.random() < p
             if not rejected:
                 accepted += 1
@@ -286,15 +279,13 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
             # how many sites exceed the threshold: >= k iff rejected
             exceed_count = rng.randint(k, sites) if rejected else rng.randint(0, k - 1)
             exceeding = set(rng.shuffled(range(sites))[:exceed_count])
-            for s, site_id in enumerate(site_ids):
-                check((batch_id, wafer_id, site_id))
+            for s in range(sites):
                 if s in exceeding:
                     site_values.append(rng.uniform(t + 0.5, t + 5.0))
                 else:
                     site_values.append(rng.uniform(t - 8.0, t - 0.5))
 
-            for site_id, ic_id in zip(ic_sites, ic_ids):
-                check((batch_id, wafer_id, site_id, ic_id))
+            for _ in range(scenario.ics_per_wafer):
                 ic_values.append(rng.uniform(0.0, 1.0))
 
         batch_yield = 100 * accepted / scenario.wafers_per_batch
@@ -304,6 +295,10 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
     wafer_rejected = tuple(wafer_rejected)
     site_values = tuple(site_values)
     ic_values = tuple(ic_values)
+    batch_ids = _zero_padded(scenario.n_batches, 4)
+    wafer_ids = _zero_padded(scenario.wafers_per_batch, 2)
+    site_ids = _zero_padded(sites, 1)
+    ic_ids = _zero_padded(scenario.ics_per_wafer, 3)
     tables = {
         GranularityLevel.BATCH: (BATCH_COLUMNS, _combinations(batch_ids), zip(*batch_cells)),
         GranularityLevel.WAFER: (WAFER_COLUMNS, _combinations(batch_ids, wafer_ids), [wafer_rejected]),
@@ -312,8 +307,11 @@ def generate(scenario: FabScenario) -> HierarchicalDataset:
         ),
     }
     if ic_ids:  # no IC table when the scenario has no ICs
+        ic_sites = [site_ids[i % sites] for i in range(len(ic_ids))]
         ic_fields = _combinations(batch_ids, wafer_ids, ic_sites) + [tuple(ic_ids) * len(wafer_rejected)]
         tables[GranularityLevel.IC] = (IC_COLUMNS, ic_fields, [ic_values])
+    for _, fields, _ in tables.values():
+        deque(map(EntityKey.from_ids, zip(*fields)), maxlen=0)
     return HierarchicalDataset({level: Table.from_columns(level, *parts) for level, parts in tables.items()})
 
 

@@ -76,16 +76,21 @@ def random_hierarchy(rng: random.Random, max_batches=5, max_wafers=6, max_sites=
     return nest, build_hierarchy(nest)
 
 
-def traced_peak_share(step) -> float:
+def ascending_fab() -> HierarchicalDataset:
+    """The synthetic seed-3, 100-batch fab, whose keys ascend at every level."""
+    return generate(FabScenario(seed=3, n_batches=100))
+
+
+def traced_peak_share(step, make_dataset=ascending_fab) -> float:
     """Peak memory traced while step(dataset) runs, above the size it starts
-    from, as a share of the traced size of the dataset: the synthetic seed-3,
-    100-batch fab, whose keys ascend at every level."""
+    from, as a share of the traced size of the dataset that make_dataset()
+    returns (by default the ascending seed-3, 100-batch fab)."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        dataset = generate(FabScenario(seed=3, n_batches=100))
+        dataset = make_dataset()
         size = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         step(dataset)

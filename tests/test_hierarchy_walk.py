@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import BATCH, IC, SITE, WAFER, traced_peak_share
+from conftest import BATCH, IC, SITE, WAFER, ascending_fab, traced_peak_share
 from yieldtree import ingest
 from yieldtree.errors import DataError
 from yieldtree.lift import broadcast_down
@@ -29,6 +29,7 @@ from yieldtree.model import (
     validate_hierarchy,
 )
 from yieldtree.pipeline import ScreenSettings, _screen_dataset
+from yieldtree.synthfab import FabScenario, generate
 
 SEEDS = range(12)
 
@@ -202,10 +203,40 @@ def test_key_sorted_fixtures_cover_the_finest_table(duplicates):
     assert all(orphans) and any(twins) == duplicates
 
 
-def test_validation_builds_no_key_set_for_an_ascending_finest_table():
+def thin_fab():
+    """A seed-3 fab of 2,000 batches of 2 wafers of 2 sites: most of its ids
+    are batch ids."""
+    return generate(FabScenario(seed=3, n_batches=2000, wafers_per_batch=2, sites_per_wafer=2))
+
+
+@pytest.mark.parametrize("make_dataset, bound", [(ascending_fab, 0.15), (thin_fab, 0.18)], ids=["fab", "thin"])
+def test_validation_builds_no_key_set_for_an_ascending_finest_table(make_dataset, bound):
     """Only the coarser tables' key sets are built (the finest one's alone is
-    about 26% of the dataset's size)."""
-    assert traced_peak_share(validate_hierarchy) < 0.15
+    about 26% of the fab's size), and each key field is numbered once: no
+    pass copies the batch ids' codes, which on the thin fab are most codes."""
+    assert traced_peak_share(validate_hierarchy, make_dataset) < bound
+
+
+def fab_with_one_orphan_site():
+    """The ascending fab with its middle site row's batch id replaced by an
+    absent id, so that the site table is walked."""
+    dataset = ascending_fab()
+    site = dataset.tables[SITE]
+    batch_ids = list(site.key_fields[0])
+    batch_ids[len(batch_ids) // 2] = "absent"
+    orphaned = Table.from_columns(SITE, site.columns, [batch_ids, *site.key_fields[1:]], site.cells)
+    return dataset.with_table(orphaned)
+
+
+def test_the_walk_builds_only_the_keys_it_reports():
+    """The walk of a 12,000-row site table with one orphan row reports it
+    as the reference does and builds no key for any other row."""
+    reports = []
+    share = traced_peak_share(lambda dataset: reports.append(validate_hierarchy(dataset)), fab_with_one_orphan_site)
+    orphans, duplicates = reference_violations(fab_with_one_orphan_site())
+    assert len(orphans) == 2 and not duplicates  # no batch ancestor and no wafer ancestor
+    assert _as_tuples(reports[0].orphans) == orphans and not reports[0].duplicates
+    assert share < 1.6
 
 
 def _blank_some_cells(dataset, rng):

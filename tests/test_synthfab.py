@@ -285,9 +285,9 @@ class TestExportRoundTrip:
 class TestGeneratedKeys:
     @pytest.mark.parametrize("seed, ics", [(0, 0), (1, 3), (2, 0)])
     def test_one_key_check_per_generated_row(self, monkeypatch, seed, ics):
-        """Each generated row's ids pass EntityKey's check exactly once, in row
-        order within its level, and reading the key and row views of the
-        tables checks nothing more."""
+        """Each generated row's ids pass EntityKey's check exactly once, one
+        level at a time, coarse to fine, in row order within its level, and
+        reading the key and row views of the tables checks nothing more."""
         checked = []
         check = EntityKey.__post_init__
 
@@ -299,6 +299,8 @@ class TestGeneratedKeys:
         dataset = generate(FabScenario(seed=seed, n_batches=7, wafers_per_batch=3, ics_per_wafer=ics))
         tables = dataset.tables.values()
         assert len(checked) == sum(map(len, tables))
+        depths = [len(key) for key in checked]
+        assert depths == sorted(depths)  # each level's checks contiguous, coarse to fine
         for table in tables:
             assert [key for key in checked if len(key) == table.level + 1] == list(table.keys)
         count = len(checked)
